@@ -39,11 +39,11 @@
 //!   horizon), and a shifting stream gets the whole recycled pool when
 //!   fresh data is actually worth buying.
 //!
-//! The accountant is the *decision* ledger; the durable mirror is the
-//! window ring ([`crate::stream::WindowedAggregator::record_spend`]), and
-//! the ingestion service persists the ledger itself
-//! (`WindowBudgetAccountant::encode`) so the invariant survives
-//! kill/restart — see `trajshare_service::server`.
+//! The accountant is the *decision* ledger; [`crate::PublicationEngine`]
+//! is the loop that drives it. The durable mirror is the window ring
+//! ([`crate::stream::WindowedAggregator::record_spend`]), and the budget
+//! holder persists the ledger itself (`WindowBudgetAccountant::encode`)
+//! so the invariant survives kill/restart — see `trajshare_service`.
 
 use crate::estimate::{ibu_frequencies, EmChannel};
 use crate::ingest::AggregateCounts;
@@ -158,9 +158,9 @@ pub fn significance_divergence(prev: &[f64], cur: &[f64], n_prev: u64, n_cur: u6
 /// raw occupancy otherwise. Either way the measured total-variation
 /// distance is gated on the sampling-noise floor the two cohort sizes
 /// imply ([`significance_divergence`]), so a quiet-but-small window no
-/// longer reads as a population shift. Shared by the single-node
-/// maintenance thread and the cluster coordinator so a deployment gets
-/// one consistent signal at either enforcement point.
+/// longer reads as a population shift. Called from the one decision loop
+/// ([`crate::PublicationEngine`]), so a deployment gets the same signal
+/// at either enforcement point (node or coordinator).
 ///
 /// Debiasing inverts the EM channel at the window's *mean* ε′ (a
 /// cohort-level frequency correction — the max that settlement polices
@@ -679,9 +679,7 @@ impl WindowBudgetAccountant {
 
     /// Ledger blob magic ("TrajShare Budget Accountant").
     pub const MAGIC: [u8; 4] = *b"TSBA";
-    /// Ledger blob version. v2 appends the allocation epoch and the
-    /// grant history to the v1 body; v1 blobs (pre-grant-session
-    /// ledgers) still decode, with epoch 0 and an empty history.
+    /// The one ledger blob version this build reads and writes.
     pub const VERSION: u16 = 2;
 
     /// Serializes the ledger (config, decided watermark, horizon
@@ -726,7 +724,7 @@ impl WindowBudgetAccountant {
             out.extend_from_slice(&d.spent_nano.to_le_bytes());
             out.push(d.refused as u8);
         }
-        // v2 tail: allocation epoch + grant history.
+        // Allocation epoch + grant history.
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&(self.history.len() as u64).to_le_bytes());
         for r in &self.history {
@@ -758,7 +756,7 @@ impl WindowBudgetAccountant {
             return Err(SnapshotError::BadMagic);
         }
         let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-        if version != 1 && version != Self::VERSION {
+        if version != Self::VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let mut off = 6;
@@ -832,42 +830,37 @@ impl WindowBudgetAccountant {
                 refused,
             });
         }
-        let (epoch, history) = if version >= 2 {
-            let epoch = take_u64(&mut off)?;
-            let hn = take_u64(&mut off)? as usize;
-            if hn > Self::GRANT_HISTORY_CAP {
+        let epoch = take_u64(&mut off)?;
+        let hn = take_u64(&mut off)? as usize;
+        if hn > Self::GRANT_HISTORY_CAP {
+            return Err(SnapshotError::Inconsistent);
+        }
+        let mut history = VecDeque::with_capacity(hn);
+        let mut prev_w: Option<u64> = None;
+        for _ in 0..hn {
+            let window = take_u64(&mut off)?;
+            let r_epoch = take_u64(&mut off)?;
+            let granted_nano = take_u64(&mut off)?;
+            let settled_nano = take_u64(&mut off)?;
+            let refused = match take_u8(&mut off)? {
+                0 => false,
+                1 => true,
+                _ => return Err(SnapshotError::Inconsistent),
+            };
+            // History is append-ordered by (monotonic) allocation,
+            // and settlement only clamps within the grant.
+            if settled_nano > granted_nano || prev_w.is_some_and(|p| window <= p) {
                 return Err(SnapshotError::Inconsistent);
             }
-            let mut history = VecDeque::with_capacity(hn);
-            let mut prev_w: Option<u64> = None;
-            for _ in 0..hn {
-                let window = take_u64(&mut off)?;
-                let r_epoch = take_u64(&mut off)?;
-                let granted_nano = take_u64(&mut off)?;
-                let settled_nano = take_u64(&mut off)?;
-                let refused = match take_u8(&mut off)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(SnapshotError::Inconsistent),
-                };
-                // History is append-ordered by (monotonic) allocation,
-                // and settlement only clamps within the grant.
-                if settled_nano > granted_nano || prev_w.is_some_and(|p| window <= p) {
-                    return Err(SnapshotError::Inconsistent);
-                }
-                prev_w = Some(window);
-                history.push_back(GrantRecord {
-                    window,
-                    epoch: r_epoch,
-                    granted_nano,
-                    settled_nano,
-                    refused,
-                });
-            }
-            (epoch, history)
-        } else {
-            (0, VecDeque::new())
-        };
+            prev_w = Some(window);
+            history.push_back(GrantRecord {
+                window,
+                epoch: r_epoch,
+                granted_nano,
+                settled_nano,
+                refused,
+            });
+        }
         if off != payload.len() {
             return Err(SnapshotError::Inconsistent);
         }
@@ -1126,29 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_ledger_blobs_still_decode() {
-        let mut acct = WindowBudgetAccountant::new(cfg(5_000, 4, AllocationPolicy::adaptive()));
-        for w in 0..6 {
-            acct.allocate(w, 0.5);
-            acct.settle(w, 100 * w).unwrap();
-        }
-        let blob = acct.encode();
-        // Strip the v2 tail (epoch + history) and restamp as v1.
-        let tail = 8 + 8 + 33 * acct.grant_history().count();
-        let mut v1 = blob[..blob.len() - 4 - tail].to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let crc = crc32(&v1);
-        v1.extend_from_slice(&crc.to_le_bytes());
-        let back = WindowBudgetAccountant::decode(&v1).unwrap();
-        assert_eq!(back.decided(), acct.decided());
-        assert_eq!(back.sliding_spend_nano(), acct.sliding_spend_nano());
-        assert_eq!(back.current_epoch(), 0, "v1 carries no epoch");
-        assert_eq!(back.grant_history().count(), 0, "v1 carries no history");
-        // And its decisions match entry for entry.
-        assert!(back.decisions().eq(acct.decisions()));
-    }
-
-    #[test]
     fn codec_roundtrips_and_refuses_corruption() {
         let mut acct =
             WindowBudgetAccountant::new(cfg(5_000_000_000, 4, AllocationPolicy::adaptive()));
@@ -1164,6 +1134,14 @@ mod tests {
         bad[9] ^= 0x10;
         assert!(WindowBudgetAccountant::decode(&bad).is_err());
         assert!(WindowBudgetAccountant::decode(&blob[..20]).is_err());
+        // Version 1 (never written by any deployment) is rejected.
+        let mut v1 = blob[..blob.len() - 4].to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&crc32(&v1).to_le_bytes());
+        assert_eq!(
+            WindowBudgetAccountant::decode(&v1),
+            Err(SnapshotError::UnsupportedVersion(1))
+        );
         // A hand-built over-spent ledger is refused even with a valid CRC.
         let mut evil = WindowBudgetAccountant::new(cfg(100, 2, AllocationPolicy::Uniform));
         evil.allocate(0, 1.0);

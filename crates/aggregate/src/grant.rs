@@ -131,6 +131,28 @@ impl GrantFrame {
     }
 }
 
+impl From<crate::budget::WindowGrant> for GrantFrame {
+    /// A fresh allocation, as broadcast.
+    fn from(g: crate::budget::WindowGrant) -> Self {
+        GrantFrame {
+            epoch: g.epoch,
+            window: g.window,
+            granted_nano: g.granted_nano,
+        }
+    }
+}
+
+impl From<crate::budget::GrantRecord> for GrantFrame {
+    /// A standing decision, re-announced under its original epoch.
+    fn from(r: crate::budget::GrantRecord) -> Self {
+        GrantFrame {
+            epoch: r.epoch,
+            window: r.window,
+            granted_nano: r.granted_nano,
+        }
+    }
+}
+
 /// The client hello that opens a grant session on an ingest connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HelloFrame {

@@ -35,7 +35,10 @@
 //! 7. [`stream`] — the real-time workload: a sliding window of counters
 //!    over timestamped reports ([`WindowedAggregator`]) with exact
 //!    subtraction-based eviction, plus warm-started per-tick estimation
-//!    ([`StreamingEstimator`]),
+//!    ([`StreamingEstimator`]), and [`budget`] / [`engine`] — the
+//!    `w`-window ε ledger and the one decision loop
+//!    ([`PublicationEngine`]) a node and a cluster coordinator both run
+//!    over it,
 //! 8. [`clusterproto`] — the `TSCL` snapshot-shipping frames a
 //!    distributed deployment uses to pull per-worker counter/ring state
 //!    into one exactly-merged global view (`crates/cluster`),
@@ -51,6 +54,7 @@
 pub mod batch;
 pub mod budget;
 pub mod clusterproto;
+pub mod engine;
 pub mod estimate;
 pub mod eval;
 pub mod grant;
@@ -75,6 +79,7 @@ pub use clusterproto::{
     decode_cluster_frame, encode_cluster_frame, read_cluster_frame, write_cluster_frame,
     ClusterFrame, WorkerSnapshot, CLUSTER_MAGIC, CLUSTER_VERSION, MAX_CLUSTER_FRAME_LEN,
 };
+pub use engine::{BudgetPublication, Decisions, PublicationEngine};
 pub use estimate::{
     ibu_frequencies, ibu_frequencies_with_init, ibu_joint, ibu_joint_with_init, norm_sub,
     ChannelInverse, EmChannel, EstimatorBackend, IbuSolver,
@@ -97,7 +102,8 @@ pub use pipeline::{
 pub use publish::PublishedStream;
 pub use report::{DecodeError, Report, StreamDecoder, WireFrame, MAX_FRAME_LEN};
 pub use snapshot::{
-    crc32, merge_snapshot_files, read_snapshot_file, write_snapshot_file, SnapshotError,
+    crc32, merge_snapshot_files, read_snapshot_file, write_blob_atomic, write_snapshot_file,
+    SnapshotError,
 };
 pub use stream::{StreamingEstimator, WindowConfig, WindowIngest, WindowedAggregator};
 pub use synthesize::Synthesizer;

@@ -21,7 +21,7 @@
 //! num_unigrams            u64
 //! rejected                u64
 //! eps_nano_sum            u64
-//! eps_nano_max            u64   (v2+; absent in v1)
+//! eps_nano_max            u64
 //! occupancy               num_regions × u64
 //! tile_occupancy          num_regions × 24 × u64
 //! starts                  num_regions × u64
@@ -31,18 +31,6 @@
 //! length_hist             hist_len × u64
 //! crc32                   u32   (IEEE, over every preceding byte)
 //! ```
-//!
-//! v1 snapshots (pre-budget-settlement) carry no `eps_nano_max`; they
-//! decode with `eps_nano_max = min(eps_nano_sum, 64ε)` — a sound upper
-//! bound on the max (Σ ≥ max over non-negative terms, and ingestion
-//! rejects any report above `MAX_EPS_PRIME` = 64ε), so a ledger settled
-//! against a restored v1 window can only over-refuse, never under-count
-//! a user's spend. **Upgrade transient:** restarting a budgeted
-//! streaming deployment over v1 blobs therefore conservatively refuses
-//! the restored multi-report windows (their true per-report max is
-//! unknowable from v1 counters) until they slide out of the ring — at
-//! most one ring depth of pre-upgrade data; fresh windows are
-//! unaffected.
 
 use crate::ingest::{AggregateCounts, TILES_PER_DAY};
 use std::io::Write;
@@ -51,22 +39,12 @@ use std::path::Path;
 /// Snapshot magic ("TrajShare Counts v1").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSC1";
 
-/// Current snapshot format version: v2 adds `eps_nano_max`. v1 blobs
-/// still decode (their max falls back to `eps_nano_sum`, a sound upper
-/// bound).
+/// The one snapshot format version this build reads and writes.
 pub const SNAPSHOT_VERSION: u16 = 2;
 
-/// Fixed-size portion of a v2 snapshot: magic + version + seven u64
-/// scalars. (v1 carried six.)
+/// Fixed-size portion of a snapshot: magic + version + seven u64
+/// scalars.
 const SNAPSHOT_HEADER_LEN: usize = 4 + 2 + 7 * 8;
-
-/// Fixed-size portion of a v1 snapshot — the minimum any snapshot can be.
-const SNAPSHOT_HEADER_LEN_V1: usize = 4 + 2 + 6 * 8;
-
-/// Ceiling for the v1 `eps_nano_max` fallback: ingestion rejects any
-/// report above [`crate::ingest::MAX_EPS_PRIME`], so no true per-report
-/// max can exceed this many nano-ε.
-const V1_MAX_EPS_NANO_CEILING: u64 = (crate::ingest::MAX_EPS_PRIME as u64) * 1_000_000_000;
 
 /// Why reading a snapshot failed. As with report decoding, every variant
 /// other than `Io` means the bytes can never become a valid snapshot.
@@ -76,7 +54,7 @@ pub enum SnapshotError {
     Truncated,
     /// Magic bytes do not match [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// Version field is newer than this build understands.
+    /// Version field is not one this build reads.
     UnsupportedVersion(u16),
     /// The trailing CRC-32 does not match the payload.
     BadCrc,
@@ -175,7 +153,7 @@ impl AggregateCounts {
     /// CRC, magic, version, and size consistency before any allocation is
     /// sized from the declared fields.
     pub fn decode_snapshot(buf: &[u8]) -> Result<AggregateCounts, SnapshotError> {
-        if buf.len() < SNAPSHOT_HEADER_LEN_V1 + 4 {
+        if buf.len() < SNAPSHOT_HEADER_LEN + 4 {
             return Err(SnapshotError::Truncated);
         }
         let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
@@ -187,19 +165,11 @@ impl AggregateCounts {
             return Err(SnapshotError::BadMagic);
         }
         let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-        if version != 1 && version != SNAPSHOT_VERSION {
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let (scalars, header_len) = if version == 1 {
-            (6, SNAPSHOT_HEADER_LEN_V1)
-        } else {
-            (7, SNAPSHOT_HEADER_LEN)
-        };
-        if payload.len() < header_len {
-            return Err(SnapshotError::Truncated);
-        }
         let mut off = 6;
-        let header = read_u64s(payload, &mut off, scalars);
+        let header = read_u64s(payload, &mut off, 7);
         let (nr, hist_len) = (header[0], header[1]);
         // Expected payload size, computed with checked arithmetic so a
         // hostile num_regions cannot overflow (nr² alone can exceed u64).
@@ -213,7 +183,7 @@ impl AggregateCounts {
             .and_then(|w| w.checked_add(hist_len));
         let expect = vec_words
             .and_then(|w| w.checked_mul(8))
-            .and_then(|b| b.checked_add(header_len as u64));
+            .and_then(|b| b.checked_add(SNAPSHOT_HEADER_LEN as u64));
         match expect {
             Some(e) if e == payload.len() as u64 => {}
             _ => return Err(SnapshotError::Inconsistent),
@@ -227,17 +197,7 @@ impl AggregateCounts {
             num_unigrams: header[3],
             rejected: header[4],
             eps_nano_sum: header[5],
-            // v1 predates the max: fall back to the sum clamped to the
-            // ingestion ceiling (no accepted report can exceed
-            // MAX_EPS_PRIME, and for single-report windows the sum IS
-            // the max). Still a sound upper bound — over-refusing,
-            // never under-counting, at settlement; see the module docs
-            // for the upgrade transient this implies.
-            eps_nano_max: if version == 1 {
-                header[5].min(V1_MAX_EPS_NANO_CEILING)
-            } else {
-                header[6]
-            },
+            eps_nano_max: header[6],
             occupancy: read_u64s(payload, &mut off, nr),
             tile_occupancy: read_u64s(payload, &mut off, nr * TILES_PER_DAY),
             starts: read_u64s(payload, &mut off, nr),
@@ -250,18 +210,23 @@ impl AggregateCounts {
     }
 }
 
-/// Writes `counts` to `path` atomically: encode → write to a sibling
-/// `.tmp` file → fsync → rename. A crash mid-write leaves either the old
-/// file or none — never a torn snapshot (and a torn rename survivor would
-/// fail the CRC anyway).
-pub fn write_snapshot_file(path: &Path, counts: &AggregateCounts) -> std::io::Result<()> {
+/// The workspace's one atomic small-file write: `bytes` go to a sibling
+/// `.tmp` file, are fsynced, and are renamed over `path`. A crash
+/// mid-write leaves either the old file or none — never a torn one (and
+/// every blob written this way self-validates with a CRC anyway).
+pub fn write_blob_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&counts.encode_snapshot())?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)
+}
+
+/// Writes `counts` to `path` atomically ([`write_blob_atomic`]).
+pub fn write_snapshot_file(path: &Path, counts: &AggregateCounts) -> std::io::Result<()> {
+    write_blob_atomic(path, &counts.encode_snapshot())
 }
 
 /// Reads and validates one snapshot file.
@@ -345,16 +310,18 @@ mod tests {
             assert!(AggregateCounts::decode_snapshot(&good[..i]).is_err());
         }
         // Wrong version (with a recomputed CRC, so only the version check
-        // can object).
-        let mut wrong_version = good.clone();
-        wrong_version[4..6].copy_from_slice(&9u16.to_le_bytes());
-        let n = wrong_version.len();
-        let crc = crc32(&wrong_version[..n - 4]);
-        wrong_version[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(
-            AggregateCounts::decode_snapshot(&wrong_version),
-            Err(SnapshotError::UnsupportedVersion(9))
-        );
+        // can object) — the never-shipped version 1 included.
+        let n = good.len();
+        for v in [1u16, 9] {
+            let mut wrong_version = good.clone();
+            wrong_version[4..6].copy_from_slice(&v.to_le_bytes());
+            let crc = crc32(&wrong_version[..n - 4]);
+            wrong_version[n - 4..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                AggregateCounts::decode_snapshot(&wrong_version),
+                Err(SnapshotError::UnsupportedVersion(v))
+            );
+        }
         // Wrong magic, same treatment.
         let mut wrong_magic = good.clone();
         wrong_magic[0..4].copy_from_slice(b"NOPE");
@@ -364,40 +331,6 @@ mod tests {
             AggregateCounts::decode_snapshot(&wrong_magic),
             Err(SnapshotError::BadMagic)
         );
-    }
-
-    #[test]
-    fn v1_snapshots_decode_with_a_sound_max_fallback() {
-        // A pre-v2 snapshot has six header scalars and no eps_nano_max;
-        // decoding must fall back to eps_nano_sum (Σ ≥ max, so the
-        // restored counters can only over-state the worst reporter).
-        let counts = toy_counts(3);
-        let v2 = counts.encode_snapshot();
-        let mut v1: Vec<u8> = Vec::new();
-        v1.extend_from_slice(&SNAPSHOT_MAGIC);
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        // Copy the six v1 scalars, skipping the seventh (eps_nano_max)…
-        v1.extend_from_slice(&v2[6..6 + 6 * 8]);
-        // …then the vector payload verbatim (everything after the v2
-        // header, minus the trailing CRC).
-        v1.extend_from_slice(&v2[6 + 7 * 8..v2.len() - 4]);
-        let crc = crc32(&v1);
-        v1.extend_from_slice(&crc.to_le_bytes());
-        let back = AggregateCounts::decode_snapshot(&v1).unwrap();
-        assert_eq!(back.eps_nano_sum, counts.eps_nano_sum);
-        assert_eq!(back.eps_nano_max, counts.eps_nano_sum, "sum as upper bound");
-        assert_eq!(back.occupancy, counts.occupancy);
-        assert_eq!(back.num_reports, counts.num_reports);
-        // A sum above the ingestion ceiling clamps: no real report can
-        // have claimed more than MAX_EPS_PRIME.
-        let huge = 1_000u64 * 1_000_000_000;
-        v1[6 + 5 * 8..6 + 6 * 8].copy_from_slice(&huge.to_le_bytes());
-        let n = v1.len();
-        let crc = crc32(&v1[..n - 4]);
-        v1[n - 4..].copy_from_slice(&crc.to_le_bytes());
-        let back = AggregateCounts::decode_snapshot(&v1).unwrap();
-        assert_eq!(back.eps_nano_sum, huge);
-        assert_eq!(back.eps_nano_max, 64 * 1_000_000_000, "ceiling clamp");
     }
 
     #[test]

@@ -412,9 +412,7 @@ impl WindowedAggregator {
     /// Ring snapshot magic ("TrajShare Window Ring").
     pub const RING_MAGIC: [u8; 4] = *b"TSWR";
 
-    /// Current ring snapshot format version: v2 adds a per-window
-    /// budget-spend field. v1 blobs (pre-budget) still decode, with
-    /// every spend 0.
+    /// The one ring snapshot format version this build reads and writes.
     pub const RING_VERSION: u16 = 2;
 
     /// Serializes the ring (config, watermark, live windows with their
@@ -466,7 +464,7 @@ impl WindowedAggregator {
             return Err(SnapshotError::BadMagic);
         }
         let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-        if version != 1 && version != Self::RING_VERSION {
+        if version != Self::RING_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let mut off = 6;
@@ -496,11 +494,7 @@ impl WindowedAggregator {
         ring.evicted_windows = evicted;
         for _ in 0..n_live {
             let id = next_u64(payload, &mut off)?;
-            let spent_nano = if version >= 2 {
-                next_u64(payload, &mut off)?
-            } else {
-                0
-            };
+            let spent_nano = next_u64(payload, &mut off)?;
             let len = next_u64(payload, &mut off)? as usize;
             if payload.len() < off + len {
                 return Err(SnapshotError::Truncated);
@@ -962,10 +956,17 @@ mod tests {
         for (id, counts) in ring.windows() {
             assert_eq!(back.window_counts(id), Some(counts));
         }
-        // Corruption and config mismatches are refused.
+        // Corruption, version 1 and config mismatches are refused.
         let mut bad = blob.clone();
         bad[10] ^= 0x20;
         assert!(WindowedAggregator::decode_ring(&bad, &[0u16; REGIONS], config).is_err());
+        let mut v1 = blob[..blob.len() - 4].to_vec();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(&crc32(&v1).to_le_bytes());
+        assert_eq!(
+            WindowedAggregator::decode_ring(&v1, &[0u16; REGIONS], config),
+            Err(SnapshotError::UnsupportedVersion(1))
+        );
         assert_eq!(
             WindowedAggregator::decode_ring(&blob, &[0u16; REGIONS], cfg(10, 4)),
             Err(SnapshotError::Inconsistent)

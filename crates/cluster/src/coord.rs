@@ -35,11 +35,10 @@
 //! exact. A same-epoch report-count regression can only mean lost state
 //! and is surfaced as [`WorkerStatus::regressions`].
 //!
-//! **ε-budget.** The coordinator optionally runs the same sliding
-//! ledger as a single-node server over the merged view (allocate on
-//! first sight ≤ watermark, settle against the cohort's *max* per-report
-//! ε′; the divergence signal is the shared significance-tested
-//! [`window_divergence`]). With [`CoordConfig::ledger_path`] set the
+//! **ε-budget.** The coordinator optionally runs the same
+//! [`PublicationEngine`] as a single-node server, over the merged view
+//! and below the cluster watermark — a single node is a cluster of one,
+//! so both enforce one rule set. With [`CoordConfig::ledger_path`] set the
 //! ledger is durable: restored at startup (a corrupt or
 //! config-mismatched blob is a hard error — restoring nothing would
 //! re-grant spent budget) and rewritten atomically inside every tick
@@ -52,8 +51,7 @@
 //! per-worker accounting with no coordinator budget — and the docs
 //! recommend the former for exact global `w`-window guarantees.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write;
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -62,9 +60,9 @@ use trajshare_aggregate::clusterproto::{
     read_cluster_frame, write_cluster_frame, ClusterFrame, WorkerSnapshot,
 };
 use trajshare_aggregate::{
-    crc32, window_divergence, AggregateCounts, EstimatorBackend, GrantFrame, GrantRecord,
-    MobilityModel, StreamingEstimator, WindowBudgetAccountant, WindowBudgetConfig, WindowConfig,
-    WindowedAggregator,
+    crc32, write_blob_atomic, AggregateCounts, EstimatorBackend, GrantFrame, GrantRecord,
+    MobilityModel, PublicationEngine, StreamingEstimator, WindowBudgetAccountant,
+    WindowBudgetConfig, WindowConfig, WindowedAggregator,
 };
 use trajshare_core::RegionGraph;
 
@@ -213,9 +211,7 @@ pub struct Coordinator {
     slots: Vec<WorkerSlot>,
     seq: u64,
     estimator: StreamingEstimator,
-    accountant: Option<WindowBudgetAccountant>,
-    accepted: BTreeSet<u64>,
-    refused: BTreeSet<u64>,
+    engine: Option<PublicationEngine>,
     /// Last tick's merged state, for [`Coordinator::estimate`].
     merged_counts: AggregateCounts,
     merged_ring: Option<WindowedAggregator>,
@@ -261,49 +257,36 @@ impl Coordinator {
             })
             .collect();
         let num_regions = config.region_tiles.len();
-        let mut accountant = config.budget.map(WindowBudgetAccountant::new);
-        let mut accepted = BTreeSet::new();
-        let mut refused = BTreeSet::new();
         let mut last_ledger = Vec::new();
-        if let (Some(acct), Some(path)) = (accountant.as_mut(), config.ledger_path.as_ref()) {
-            match std::fs::read(path) {
-                Ok(bytes) => {
-                    let restored = WindowBudgetAccountant::decode(&bytes).unwrap_or_else(|e| {
-                        panic!("corrupt cluster ledger {}: {e:?}", path.display())
-                    });
-                    assert!(
-                        restored.config() == acct.config(),
-                        "cluster ledger {} was written under a different budget config",
-                        path.display()
-                    );
-                    // Re-seed publication status from the restored grant
-                    // history, so windows whose ledger entries expired
-                    // from the horizon keep their earned accept/refuse
-                    // status across the restart (the first tick re-settles
-                    // only in-horizon windows).
-                    for r in restored.grant_history() {
-                        if r.refused {
-                            refused.insert(r.window);
-                        } else {
-                            accepted.insert(r.window);
-                        }
-                    }
-                    last_ledger = bytes;
-                    *acct = restored;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => panic!("cannot read cluster ledger {}: {e}", path.display()),
-            }
-        }
+        let engine = config.budget.map(|budget| {
+            let stored = config.ledger_path.as_ref().and_then(|path| {
+                let bytes = match std::fs::read(path) {
+                    Ok(bytes) => bytes,
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
+                    Err(e) => panic!("cannot read cluster ledger {}: {e}", path.display()),
+                };
+                let stored = WindowBudgetAccountant::decode(&bytes)
+                    .unwrap_or_else(|e| panic!("corrupt cluster ledger {}: {e:?}", path.display()));
+                assert!(
+                    stored.config() == budget,
+                    "cluster ledger {} was written under a different budget config",
+                    path.display()
+                );
+                last_ledger = bytes;
+                Some(stored)
+            });
+            // The coordinator is the cluster's single allocator, so the
+            // grant session is always on; it holds no ring of its own at
+            // startup, so there are no spend annotations to seed from.
+            PublicationEngine::restore(budget, config.graph.clone(), true, stored, &[])
+        });
         Coordinator {
             estimator: StreamingEstimator::with_backend(
                 StreamingEstimator::DEFAULT_COLD_ITERS,
                 StreamingEstimator::DEFAULT_WARM_ITERS,
                 config.backend,
             ),
-            accountant,
-            accepted,
-            refused,
+            engine,
             merged_counts: AggregateCounts::new(num_regions),
             merged_ring: None,
             watermark: 0,
@@ -378,85 +361,12 @@ impl Coordinator {
             .min()
             .unwrap_or(0);
 
-        // Phase 4: budget decisions over merged windows at or below the
-        // watermark — same allocate/settle discipline as a single node,
-        // settling against the merged cohort's worst reporter. The
-        // divergence signal is the shared significance-tested one
-        // (debiased when a graph is configured), so the adaptive policy
-        // no longer chases channel noise between ε′ cohorts.
-        let mut grant: Option<GrantFrame> = None;
-        if let (Some(accountant), Some(view)) = (&mut self.accountant, &ring) {
-            let graph = self.config.graph.as_deref();
-            let windows = view.windows();
-            for (i, &(id, w_counts)) in windows.iter().enumerate() {
-                if id > watermark {
-                    break;
-                }
-                let observed = w_counts.max_eps_nano();
-                if accountant.decided().is_none_or(|d| id > d) {
-                    let divergence = match i.checked_sub(1).map(|j| windows[j]) {
-                        Some((prev_id, prev)) if prev_id + 1 == id => {
-                            window_divergence(graph, prev, w_counts)
-                        }
-                        _ => 1.0,
-                    };
-                    accountant.allocate(id, divergence);
-                }
-                match accountant.settle(id, observed) {
-                    Some(decision) => {
-                        if decision.refused {
-                            self.accepted.remove(&id);
-                            self.refused.insert(id);
-                        } else {
-                            self.refused.remove(&id);
-                            self.accepted.insert(id);
-                        }
-                    }
-                    // Appeared behind the decided watermark or expired
-                    // from the horizon: never retroactively granted.
-                    None => {
-                        if !self.accepted.contains(&id) {
-                            self.refused.insert(id);
-                        }
-                    }
-                }
-            }
-            // Grant-session pre-allocation, mirroring the single-node
-            // maintenance thread: decide the *next* window's ε′ before
-            // any of its data exists, so grant-following clients can
-            // randomize at the announced rate and settlement later
-            // observes spend == grant. Bootstrap (no merged data yet)
-            // grants the current newest window — the first one clients
-            // will fill. An already-decided next window (earlier tick,
-            // or a ledger restored after restart) re-announces the
-            // standing decision unchanged; the relays' boards dedupe.
-            let next = if view.merged().num_reports == 0 {
-                view.newest_window()
-            } else {
-                view.newest_window() + 1
-            };
-            let g = if accountant.decided().is_none_or(|d| next > d) {
-                let divergence = match windows.len().checked_sub(2) {
-                    Some(j) if windows[j].0 + 1 == windows[j + 1].0 => {
-                        window_divergence(graph, windows[j].1, windows[j + 1].1)
-                    }
-                    _ => 1.0,
-                };
-                let g = accountant.allocate(next, divergence);
-                Some(GrantFrame {
-                    epoch: g.epoch,
-                    window: g.window,
-                    granted_nano: g.granted_nano,
-                })
-            } else {
-                accountant.latest_grant().map(|r| GrantFrame {
-                    epoch: r.epoch,
-                    window: r.window,
-                    granted_nano: r.granted_nano,
-                })
-            };
-            grant = g;
-        }
+        // Phase 4: the shared decision pass, over merged windows at or
+        // below the watermark.
+        let grant = match (&mut self.engine, &ring) {
+            (Some(engine), Some(view)) => engine.decide(view, watermark).grant,
+            _ => None,
+        };
 
         // Persist-before-broadcast: the ledger hits disk before the
         // view (and the grant inside it) is returned to anyone who
@@ -490,34 +400,35 @@ impl Coordinator {
             windows,
             counts_crc32,
             ring_crc32,
-            refused_windows: self.refused.iter().copied().collect(),
-            sliding_spend_nano: self.accountant.as_ref().map(|a| a.sliding_spend_nano()),
+            refused_windows: self
+                .engine
+                .as_ref()
+                .map(PublicationEngine::refused_windows)
+                .unwrap_or_default(),
+            sliding_spend_nano: self.ledger().map(|a| a.sliding_spend_nano()),
             grant,
         }
     }
 
     /// Atomically rewrites the ledger blob if it changed since the last
-    /// write (tmp + fsync + rename, the workspace's blob discipline).
-    /// Panics on failure: see the persist-before-broadcast note in
+    /// write. Panics on failure: see the persist-before-broadcast note in
     /// [`Coordinator::tick`].
     fn persist_ledger(&mut self) {
-        let (Some(acct), Some(path)) = (self.accountant.as_ref(), self.config.ledger_path.as_ref())
-        else {
+        let (Some(engine), Some(path)) = (&self.engine, &self.config.ledger_path) else {
             return;
         };
-        let encoded = acct.encode();
+        let encoded = engine.ledger_bytes();
         if encoded == self.last_ledger {
             return;
         }
-        let write = || -> std::io::Result<()> {
-            let tmp = path.with_extension("tsba.tmp");
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&encoded)?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, path)
-        };
-        write().unwrap_or_else(|e| panic!("cannot persist cluster ledger {}: {e}", path.display()));
+        write_blob_atomic(path, &encoded)
+            .unwrap_or_else(|e| panic!("cannot persist cluster ledger {}: {e}", path.display()));
         self.last_ledger = encoded;
+    }
+
+    /// The cluster ledger, when a budget runs.
+    fn ledger(&self) -> Option<&WindowBudgetAccountant> {
+        self.engine.as_ref().map(PublicationEngine::accountant)
     }
 
     /// Validates and installs one pulled snapshot into its slot.
@@ -573,16 +484,16 @@ impl Coordinator {
     /// holds no reports to estimate from.
     pub fn estimate(&mut self, graph: &RegionGraph) -> Option<MobilityModel> {
         let counts: AggregateCounts;
-        let view = match &self.merged_ring {
-            Some(ring) => {
-                let watermark = self.watermark;
-                let budgeted = self.accountant.is_some();
-                let accepted = &self.accepted;
-                counts = ring
-                    .merged_where(|id| id <= watermark && (!budgeted || accepted.contains(&id)));
+        let view = match (&self.merged_ring, &self.engine) {
+            (Some(ring), Some(engine)) => {
+                counts = engine.published_counts(ring, self.watermark);
                 &counts
             }
-            None => &self.merged_counts,
+            (Some(ring), None) => {
+                counts = ring.merged_where(|id| id <= self.watermark);
+                &counts
+            }
+            (None, _) => &self.merged_counts,
         };
         if view.num_reports == 0 {
             return None;
@@ -593,7 +504,10 @@ impl Coordinator {
     /// Windows currently accepted for publication (ascending). Without
     /// a budget this is empty — every window ≤ watermark publishes.
     pub fn accepted_windows(&self) -> Vec<u64> {
-        self.accepted.iter().copied().collect()
+        self.engine
+            .as_ref()
+            .map(PublicationEngine::accepted_windows)
+            .unwrap_or_default()
     }
 
     /// The cluster budget's epoch-stamped grant history, oldest first —
@@ -601,8 +515,7 @@ impl Coordinator {
     /// so a restart that re-announces instead of re-deciding leaves
     /// this log's length unchanged (the no-double-grant assertion).
     pub fn grant_history(&self) -> Vec<GrantRecord> {
-        self.accountant
-            .as_ref()
+        self.ledger()
             .map(|a| a.grant_history().copied().collect())
             .unwrap_or_default()
     }
@@ -610,8 +523,7 @@ impl Coordinator {
     /// The cluster budget's decision log, `window → (granted, spent,
     /// refused)` — empty without a budget.
     pub fn budget_decisions(&self) -> BTreeMap<u64, (u64, u64, bool)> {
-        self.accountant
-            .as_ref()
+        self.ledger()
             .map(|a| {
                 a.decisions()
                     .map(|d| (d.window, (d.granted_nano, d.spent_nano, d.refused)))

@@ -463,3 +463,152 @@ fn closed_loop_grants_are_durable_across_coordinator_restart() {
         let _ = std::fs::remove_dir_all(&d);
     }
 }
+
+/// A ring deeper than the budget horizon, so a window's ledger entry can
+/// expire while the window is still live: 5 windows against `w` = 3.
+const DEEP_WINDOW: WindowConfig = WindowConfig {
+    window_len: 10,
+    num_windows: 5,
+};
+
+fn deep_ring_worker(tag: &str) -> (ServerConfig, std::path::PathBuf) {
+    let (mut cfg, dir) = worker_config(tag);
+    cfg.stream.as_mut().unwrap().window = DEEP_WINDOW;
+    (cfg, dir)
+}
+
+fn uniform_budget(total_eps: f64, horizon: usize) -> trajshare_aggregate::WindowBudgetConfig {
+    trajshare_aggregate::WindowBudgetConfig::new(
+        trajshare_aggregate::eps_to_nano(total_eps),
+        horizon,
+        trajshare_aggregate::AllocationPolicy::Uniform,
+    )
+}
+
+/// The coordinator-side mirror of
+/// `expired_but_live_windows_stay_frozen_against_late_over_claims` in
+/// `crates/service/tests/server.rs`: the node and the coordinator run
+/// one engine, so the coordinator holds expired-but-live windows to the
+/// same frozen rule.
+#[test]
+fn coordinator_refuses_late_over_claims_into_expired_but_live_windows() {
+    let (cfg, dir) = deep_ring_worker("expired");
+    let worker = IngestServer::start(cfg).unwrap();
+    let mut ccfg = CoordConfig::new(vec![worker.export_addr().unwrap()], vec![0u16; REGIONS]);
+    ccfg.window = Some(DEEP_WINDOW);
+    ccfg.budget = Some(uniform_budget(3.0, 3));
+    let mut coord = Coordinator::new(ccfg);
+
+    // Windows 0..=3 at ε′ = 0.75 against 1ε uniform grants: all accepted.
+    // Deciding window 3 expires window 0's ledger entry (3 − 0 ≥ w).
+    for w in 0..4u64 {
+        let cohort: Vec<Report> = (0..50).map(|i| grant_report(i, w * 10, 0.75)).collect();
+        assert_eq!(stream_reports(worker.addr(), &cohort, 2).unwrap(), 50);
+        let view = coord.tick();
+        assert_eq!(view.watermark, w);
+        assert!(view.refused_windows.is_empty());
+    }
+    assert_eq!(coord.accepted_windows(), vec![0, 1, 2, 3]);
+    assert!(
+        !coord.budget_decisions().contains_key(&0),
+        "window 0 must have expired from the ledger for this test to bite"
+    );
+
+    // Late reports raise window 0's worst-case ε′ above its settled 0.75.
+    let late: Vec<Report> = (0..5).map(|i| grant_report(i, 0, 0.9)).collect();
+    assert_eq!(stream_reports(worker.addr(), &late, 1).unwrap(), 5);
+    let view = coord.tick();
+    assert_eq!(view.refused_windows, vec![0]);
+    assert_eq!(coord.accepted_windows(), vec![1, 2, 3], "window 3 stays");
+
+    // And window 0 is out of what the coordinator estimates from: its
+    // first (cold) solve equals a cold solve over windows 1..=3 alone.
+    let graph = toy_graph();
+    let published = coord
+        .merged_ring()
+        .unwrap()
+        .merged_where(|id| (1..=3).contains(&id));
+    assert_eq!(published.num_reports, 150);
+    let expected = trajshare_aggregate::StreamingEstimator::new().tick(&published, &graph);
+    let model = coord.estimate(&graph).expect("windows 1..=3 publish");
+    assert_eq!(format!("{model:?}"), format!("{expected:?}"));
+
+    let _ = worker.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A single node is a cluster of one: the same report stream through a
+/// budgeted node and through a budgeted coordinator over one un-budgeted
+/// worker ends in the same ledger and the same refusals — accepted,
+/// over-grant, pre-granted and expired-but-live windows included.
+#[test]
+fn a_budgeted_node_and_a_coordinator_over_one_worker_decide_identically() {
+    let budget = uniform_budget(3.0, 3);
+    let graph = std::sync::Arc::new(toy_graph());
+
+    let (mut node_cfg, node_dir) = deep_ring_worker("one-node");
+    {
+        let stream = node_cfg.stream.as_mut().unwrap();
+        stream.publish_every = Duration::from_millis(10);
+        stream.budget = Some(budget);
+        stream.grants = true;
+        stream.graph = Some(graph.clone());
+    }
+    node_cfg.export_addr = None;
+    let node = IngestServer::start(node_cfg).unwrap();
+
+    let (worker_cfg, worker_dir) = deep_ring_worker("one-worker");
+    let worker = IngestServer::start(worker_cfg).unwrap();
+    let mut ccfg = CoordConfig::new(vec![worker.export_addr().unwrap()], vec![0u16; REGIONS]);
+    ccfg.window = Some(DEEP_WINDOW);
+    ccfg.budget = Some(budget);
+    ccfg.graph = Some(graph);
+    let mut coord = Coordinator::new(ccfg);
+
+    // Whole cohorts, one window at a time, each at a single ε′: a pass
+    // that catches a cohort mid-arrival still sees its final worst case,
+    // so the node's timer-driven passes and the coordinator's
+    // caller-driven ticks walk through the same ledger states. Window 2
+    // over-claims its 1ε grant; the last cohort lands late in window 0,
+    // whose ledger entry expired when window 3 was decided.
+    let cohorts = [(0, 0.75), (1, 0.75), (2, 1.5), (3, 0.75), (0, 0.9)];
+    let mut view = coord.tick();
+    let wait = Duration::from_secs(10);
+    for (step, &(window, eps)) in cohorts.iter().enumerate() {
+        // Both sides must have pre-granted the next window before its
+        // data arrives (the bootstrap grant before the first cohort).
+        let standing = view.grant.expect("the coordinator always grants");
+        let caught_up = std::time::Instant::now();
+        while node.latest_grant() != Some(standing) {
+            assert!(
+                caught_up.elapsed() < wait,
+                "step {step}: node never granted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let cohort: Vec<Report> = (0..40).map(|i| grant_report(i, window * 10, eps)).collect();
+        assert_eq!(stream_reports(node.addr(), &cohort, 2).unwrap(), 40);
+        assert_eq!(stream_reports(worker.addr(), &cohort, 2).unwrap(), 40);
+        view = coord.tick();
+    }
+    assert_eq!(view.refused_windows, vec![0, 2]);
+
+    let settled = std::time::Instant::now();
+    while node.budget_refused_windows() != view.refused_windows {
+        assert!(settled.elapsed() < wait, "node never refused window 0");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let ledger = node.budget_ledger().unwrap();
+    assert_eq!(node.budget_grant_history(), coord.grant_history());
+    assert_eq!(
+        Some(ledger.sliding_spend_nano()),
+        view.sliding_spend_nano,
+        "same sliding spend"
+    );
+    assert_eq!(node.latest_grant(), view.grant);
+
+    let _ = (node.shutdown(), worker.shutdown());
+    for d in [node_dir, worker_dir] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}

@@ -39,9 +39,9 @@
 //!   commits, and the old generation is deleted; WAL disk usage between
 //!   restarts is therefore bounded instead of unbounded.
 //! * **Budget accounting** (optional, [`StreamServerConfig::budget`]):
-//!   the maintenance thread runs a
-//!   [`trajshare_aggregate::WindowBudgetAccountant`] over the published
-//!   windows — every window gets an ε grant under the configured
+//!   the maintenance thread runs the shared
+//!   [`trajshare_aggregate::PublicationEngine`] over the merged shard
+//!   rings — every window gets an ε grant under the configured
 //!   allocation policy, over-claiming windows are refused (excluded from
 //!   [`ServerHandle::estimate_window_model`]), and the ledger is
 //!   persisted on every decision so *"Σ published spend over any `w`
@@ -62,7 +62,7 @@
 use crate::storage::{self, Recovery, SyncPolicy, WalWriter};
 use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
 use serde::Serialize;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -74,10 +74,11 @@ use trajshare_aggregate::clusterproto::{
     read_cluster_frame, write_cluster_frame, ClusterFrame, WorkerSnapshot,
 };
 use trajshare_aggregate::grant;
-use trajshare_aggregate::snapshot::crc32;
+use trajshare_aggregate::snapshot::{crc32, write_blob_atomic};
+pub use trajshare_aggregate::BudgetPublication;
 use trajshare_aggregate::{
-    window_divergence, AggregateCounts, Aggregator, EstimatorBackend, GrantBoard, GrantFrame,
-    GrantRecord, GrantSubscriber, MobilityModel, Report, ReportBatch, StreamDecoder,
+    AggregateCounts, Aggregator, EstimatorBackend, GrantBoard, GrantFrame, GrantRecord,
+    GrantSubscriber, MobilityModel, PublicationEngine, Report, ReportBatch, StreamDecoder,
     StreamingEstimator, WindowBudgetAccountant, WindowBudgetConfig, WindowConfig,
     WindowedAggregator, WireFrame,
 };
@@ -442,83 +443,13 @@ impl Shard {
 
 /// The recovered-and-compacted state every live total builds on. `gen`
 /// moves when the maintenance thread compacts online; lock order is
-/// always base → shards (in index order) for any multi-lock path.
+/// always base → shards (in index order) → budget engine for any
+/// multi-lock path (only compaction nests all three; the decision pass
+/// holds the engine lock alone).
 struct BaseState {
     counts: AggregateCounts,
     ring: Option<WindowedAggregator>,
     gen: u64,
-}
-
-/// The budget-holder's state: the ledger plus the derived accept/refuse
-/// sets the estimation path filters by. One mutex; lock order on any
-/// path that holds several is base → shards → budget (compaction and
-/// the decision pass both follow it).
-struct BudgetState {
-    accountant: WindowBudgetAccountant,
-    /// Live windows whose spend is on the ledger's books — the only
-    /// windows published model estimates may use. (A window absent from
-    /// both sets is not yet decided, or arrived into an already-passed
-    /// gap; either way its spend is unaccounted and it must not be
-    /// published.)
-    accepted: BTreeSet<u64>,
-    /// Live windows explicitly refused (over-grant or unaccountable).
-    refused: BTreeSet<u64>,
-    /// Last settled spend per live window, kept even after the ledger's
-    /// horizon trims the entry — the books the expired-but-live guard
-    /// settles late reports against. Rebuilt across restarts from the
-    /// rings' spend annotations (mirrored to base *and* shard rings at
-    /// settlement, so they persist with shard snapshots); a hard kill
-    /// before any snapshot loses the annotation, in which case the
-    /// window is conservatively excluded from publication (it is not in
-    /// `accepted`) rather than misreported as refused.
-    settled: std::collections::BTreeMap<u64, u64>,
-    /// Spends already mirrored onto the shard rings *this process
-    /// lifetime* — starts empty so the first decision pass after a
-    /// restart re-annotates recovered windows, then gates the mirror
-    /// writes so the steady state (no spend moved) takes no shard
-    /// locks.
-    mirrored: std::collections::BTreeMap<u64, u64>,
-    /// Ledger bytes last persisted, to skip no-op BUDGET rewrites.
-    persisted: Vec<u8>,
-}
-
-/// The budget slice of a [`StreamPublication`].
-#[derive(Debug, Clone, Serialize)]
-pub struct BudgetPublication {
-    /// Configured ε over the horizon, nano-ε.
-    pub total_nano: u64,
-    /// The `w` of the `w`-window contract.
-    pub horizon: usize,
-    /// Σ recorded spend over the trailing horizon, nano-ε.
-    pub sliding_spent_nano: u64,
-    /// Grant of the newest decided window, nano-ε.
-    pub newest_granted_nano: u64,
-    /// Settled spend of the newest decided window, nano-ε.
-    pub newest_spent_nano: u64,
-    /// Whether the newest decided window is currently refused.
-    pub newest_refused: bool,
-    /// Lifetime refused-window count.
-    pub refused_windows: u64,
-    /// Lifetime granted-but-unspent nano-ε (recycled into later
-    /// horizons).
-    pub recycled_nano: u64,
-}
-
-impl BudgetPublication {
-    fn of(state: &BudgetState) -> Self {
-        let acct = &state.accountant;
-        let newest = acct.decided().and_then(|w| acct.decision(w));
-        BudgetPublication {
-            total_nano: acct.config().total_nano,
-            horizon: acct.config().horizon,
-            sliding_spent_nano: acct.sliding_spend_nano(),
-            newest_granted_nano: newest.map_or(0, |d| d.granted_nano),
-            newest_spent_nano: newest.map_or(0, |d| d.spent_nano),
-            newest_refused: newest.is_some_and(|d| d.refused),
-            refused_windows: acct.refused_windows(),
-            recycled_nano: acct.recycled_nano(),
-        }
-    }
 }
 
 /// One sliding-window publication (what `ingestd` prints per tick).
@@ -552,9 +483,9 @@ pub struct ServerHandle {
     /// Warm-started window-model estimator on the configured backend
     /// (streaming servers only).
     estimator: Option<Mutex<StreamingEstimator>>,
-    /// The privacy-budget ledger + refusal set (streaming servers with a
-    /// budget config only).
-    budget: Option<Arc<Mutex<BudgetState>>>,
+    /// The privacy-budget engine: ledger + accept/refuse books
+    /// (streaming servers with a budget config only).
+    engine: Option<Arc<Mutex<PublicationEngine>>>,
     /// The TSGB grant board ([`StreamServerConfig::grants`] only).
     board: Option<Arc<GrantBoard>>,
     /// Per-stage hot-path profile ([`ServerConfig::profile`] only).
@@ -693,52 +624,15 @@ impl IngestServer {
             }));
         }
 
-        // The budget ledger: restore the persisted one when its contract
-        // matches the configured one; otherwise (fresh deployment or an
-        // operator changed the contract) start a new ledger seeded from
-        // the ring's per-window spend annotations, so already-published
-        // spend keeps constraining the new horizon.
-        let budget = config.stream.as_ref().and_then(|s| s.budget).map(|bcfg| {
-            let accountant = match stored_budget {
-                Some(acct) if acct.config() == bcfg => acct,
-                _ => {
-                    let mut acct = WindowBudgetAccountant::new(bcfg);
-                    if let Some(ring) = &base_ring {
-                        for (id, spent) in ring.window_spends() {
-                            acct.restore_spend(id, spent);
-                        }
-                    }
-                    acct
-                }
-            };
-            let refused = accountant
-                .decisions()
-                .filter(|d| d.refused)
-                .map(|d| d.window)
-                .collect();
-            let accepted = accountant
-                .decisions()
-                .filter(|d| !d.refused)
-                .map(|d| d.window)
-                .collect();
-            // Books for the expired-but-live guard: the restored ring's
-            // spend annotations (they outlive the ledger horizon),
-            // overlaid by the ledger itself where it still has entries.
-            let mut settled: std::collections::BTreeMap<u64, u64> = base_ring
-                .as_ref()
-                .map(|r| r.window_spends().into_iter().collect())
-                .unwrap_or_default();
-            for d in accountant.decisions() {
-                settled.insert(d.window, d.spent_nano);
-            }
-            Arc::new(Mutex::new(BudgetState {
-                accountant,
-                accepted,
-                refused,
-                settled,
-                mirrored: std::collections::BTreeMap::new(),
-                persisted: Vec::new(),
-            }))
+        let engine = config.stream.as_ref().and_then(|s| {
+            let ring_spends = base_ring.as_ref().map(|r| r.window_spends());
+            Some(Arc::new(Mutex::new(PublicationEngine::restore(
+                s.budget?,
+                s.graph.clone(),
+                s.grants,
+                stored_budget,
+                &ring_spends.unwrap_or_default(),
+            ))))
         });
 
         let base = Arc::new(Mutex::new(BaseState {
@@ -784,10 +678,10 @@ impl IngestServer {
             let stop = Arc::clone(&stop);
             let latest = Arc::clone(&latest_publication);
             let cfg = config.clone();
-            let budget = budget.clone();
+            let engine = engine.clone();
             let board = board.clone();
             threads.push(std::thread::spawn(move || {
-                maintenance_loop(cfg, base, shards, stats, stop, latest, budget, board)
+                maintenance_loop(cfg, base, shards, stats, stop, latest, engine, board)
             }));
         }
 
@@ -807,7 +701,7 @@ impl IngestServer {
             shards,
             latest_publication,
             estimator,
-            budget,
+            engine,
             board,
             profile,
             stop,
@@ -866,14 +760,7 @@ impl ServerHandle {
     /// across the shard merges for the same reason as
     /// [`ServerHandle::counts`].
     pub fn windowed_counts(&self) -> Option<WindowedAggregator> {
-        let base = self.base.lock().unwrap();
-        let mut total = base.ring.clone()?;
-        for shard in &self.shards {
-            if let Some(ring) = &shard.lock().unwrap().ring {
-                total.merge_ring(ring);
-            }
-        }
-        Some(total)
+        merged_ring(&self.base, &self.shards)
     }
 
     /// The most recent sliding-window publication, if any.
@@ -900,18 +787,13 @@ impl ServerHandle {
         if view.merged().num_regions != graph.num_regions() {
             return None;
         }
-        let accepted: Option<BTreeSet<u64>> = self
-            .budget
-            .as_ref()
-            .map(|state| state.lock().unwrap().accepted.clone());
-        let within;
-        let counts = match &accepted {
-            Some(accepted) => {
-                within = view.merged_where(|id| accepted.contains(&id));
-                &within
-            }
-            None => view.merged(),
-        };
+        // The engine lock is released before the solve: a decision pass
+        // must never wait on an IBU run.
+        let published = self.engine.as_ref().map(|engine| {
+            let engine = engine.lock().unwrap();
+            engine.published_counts(&view, view.newest_window())
+        });
+        let counts = published.as_ref().unwrap_or(view.merged());
         if counts.num_reports == 0 {
             return None;
         }
@@ -921,9 +803,9 @@ impl ServerHandle {
     /// A snapshot of the privacy-budget ledger, when the server runs
     /// with [`StreamServerConfig::budget`].
     pub fn budget_ledger(&self) -> Option<WindowBudgetAccountant> {
-        self.budget
+        self.engine
             .as_ref()
-            .map(|state| state.lock().unwrap().accountant.clone())
+            .map(|engine| engine.lock().unwrap().accountant().clone())
     }
 
     /// The accountant's grant history — (window, epoch, granted ε′,
@@ -932,16 +814,11 @@ impl ServerHandle {
     /// [`trajshare_aggregate::GrantRecord`]); empty when no budget is
     /// configured.
     pub fn budget_grant_history(&self) -> Vec<GrantRecord> {
-        self.budget
+        self.engine
             .as_ref()
-            .map(|state| {
-                state
-                    .lock()
-                    .unwrap()
-                    .accountant
-                    .grant_history()
-                    .copied()
-                    .collect()
+            .map(|engine| {
+                let engine = engine.lock().unwrap();
+                engine.accountant().grant_history().copied().collect()
             })
             .unwrap_or_default()
     }
@@ -969,9 +846,9 @@ impl ServerHandle {
     /// The live windows currently excluded from published estimates by
     /// the budget accountant (empty when no budget is configured).
     pub fn budget_refused_windows(&self) -> Vec<u64> {
-        self.budget
+        self.engine
             .as_ref()
-            .map(|state| state.lock().unwrap().refused.iter().copied().collect())
+            .map(|engine| engine.lock().unwrap().refused_windows())
             .unwrap_or_default()
     }
 
@@ -1061,206 +938,79 @@ fn worker_loop(
     }
 }
 
-/// Runs the per-window budget decisions over the current merged view:
-/// allocate every newly seen window (divergence via
-/// [`window_divergence`] on consecutive windows), settle each
-/// live window's observed worst-case (max) per-report ε′ against its
-/// grant, maintain the accept/refuse sets, mirror spends into the base
-/// ring, pre-allocate and return the *next* window's grant when the
-/// grant session is on, and persist the ledger when it changed — the
-/// persist happens before the caller can broadcast the returned grant,
-/// so a grant a client ever saw is always on disk and a restart can
-/// never re-decide it differently.
+/// What the maintenance thread remembers between budget passes.
+#[derive(Default)]
+struct BudgetPassState {
+    /// Spends already mirrored onto the shard rings *this process
+    /// lifetime* — starts empty so the first pass after a restart
+    /// re-annotates recovered windows, then gates the mirror writes so
+    /// the steady state (no spend moved) takes no shard locks.
+    mirrored: BTreeMap<u64, u64>,
+    /// Ledger bytes last persisted, to skip no-op `BUDGET` rewrites.
+    persisted: Vec<u8>,
+}
+
+/// One budget pass of the maintenance thread: the shared engine decides
+/// over the merged view (a node's watermark is simply its newest
+/// window), then the node does what only a node has — bump
+/// [`ServerStats`], mirror the settled spends onto its rings, and write
+/// `BUDGET` when the ledger moved. The persist happens before the caller
+/// can broadcast the returned grant, so a grant a client ever saw is
+/// always on disk and a restart can never re-decide it differently.
 ///
-/// Lock order: base, then budget, then (briefly, per mirrored spend)
-/// individual shards. Taking a shard lock while holding base + budget
-/// cannot deadlock: every other multi-lock path (compaction, counts,
-/// merged views) acquires *base first* — which this thread holds — and
-/// workers take exactly one shard lock and nothing else under it.
-fn run_budget_decisions(
+/// The mirror goes to the base ring *and* every shard ring holding the
+/// window: base-ring slots hold no data until compaction, so the shard
+/// mirrors are what persist (with the next shard snapshot) and what
+/// recovery's `window_spends()` reseeds the books from. The engine lock
+/// is never held across another lock here.
+fn run_budget_pass(
     config: &ServerConfig,
     view: &WindowedAggregator,
-    state: &Mutex<BudgetState>,
+    engine: &Mutex<PublicationEngine>,
     base: &Mutex<BaseState>,
     shards: &[Arc<Mutex<Shard>>],
     stats: &ServerStats,
+    local: &mut BudgetPassState,
 ) -> std::io::Result<Option<GrantFrame>> {
-    let graph = config.stream.as_ref().and_then(|s| s.graph.as_deref());
-    let grants = config.stream.as_ref().is_some_and(|s| s.grants);
-    let mut base_guard = base.lock().unwrap();
-    let mut guard = state.lock().unwrap();
-    let windows = view.windows();
-    // Settled spends to mirror onto the shard rings, applied in one
-    // lock round-trip per shard after the loop.
-    let mut mirrors: Vec<(u64, u64)> = Vec::with_capacity(windows.len());
-    for (i, &(id, counts)) in windows.iter().enumerate() {
-        // Worst-case per-user spend this window's cohort claims, nano-ε:
-        // the *max* per-report ε′, not the mean — the `w`-window
-        // contract is per user, so settlement must bound the worst
-        // reporter (one ε′ = 64 report hiding among thousands at 0.01
-        // must still refuse the window).
-        let observed = counts.max_eps_nano();
-        if guard.accountant.decided().is_none_or(|d| id > d) {
-            // Divergence signal: this window's occupancy vs the previous
-            // live window's. A cold start (nothing to compare) counts as
-            // a full shift — the policy buys data when it knows nothing.
-            let divergence = match i.checked_sub(1).map(|j| windows[j]) {
-                Some((prev_id, prev)) if prev_id + 1 == id => {
-                    window_divergence(graph, prev, counts)
-                }
-                _ => 1.0,
-            };
-            guard.accountant.allocate(id, divergence);
-            stats.bump(&stats.budget_decisions);
-        }
-        match guard.accountant.settle(id, observed) {
-            Some(decision) => {
-                if decision.refused {
-                    guard.accepted.remove(&id);
-                    if guard.refused.insert(id) {
-                        stats.bump(&stats.budget_refusals);
-                    }
-                } else {
-                    guard.refused.remove(&id);
-                    guard.accepted.insert(id);
-                }
-                // Record the settled spend in the live books and mirror
-                // it onto the base ring *and* every shard ring holding
-                // the window — base-ring slots hold no data until
-                // compaction, so the shard mirrors are what actually
-                // persist (with the next shard snapshot) and what
-                // recovery's `window_spends()` reseeds the books from.
-                // All writes are unconditional — a window settled down
-                // to 0 must overwrite any stale nonzero value — and are
-                // captured *inside* the loop from the returned decision:
-                // deciding several windows in one pass can trim the
-                // oldest ledger entry before a post-loop ledger sweep
-                // would see it.
-                guard.settled.insert(id, decision.spent_nano);
-                if let Some(ring) = &mut base_guard.ring {
-                    ring.record_spend(id, decision.spent_nano);
-                }
-                if guard.mirrored.get(&id) != Some(&decision.spent_nano) {
-                    guard.mirrored.insert(id, decision.spent_nano);
-                    mirrors.push((id, decision.spent_nano));
-                }
-            }
-            // No ledger entry: the window appeared *behind* the decided
-            // watermark (data landed in a still-live gap window after a
-            // newer one was decided — client-declared timestamps arrive
-            // in any order). It can never be granted retroactively, so
-            // its spend is unaccountable and its data must not be
-            // published. Windows whose entry merely *expired* from the
-            // horizon (a ring deeper than the budget horizon keeps them
-            // live) are held to the frozen-window rule against the books
-            // recorded when they settled.
-            None => {
-                let decided = guard.accountant.decided().unwrap_or(0);
-                let horizon = guard.accountant.config().horizon as u64;
-                let expired = id < decided && decided - id >= horizon;
-                if expired {
-                    // Late reports raising the cohort's claim above the
-                    // recorded spend are unaccounted surplus: refuse the
-                    // window, exactly as settle() refuses a frozen
-                    // in-horizon window. At or below the books the
-                    // window is fully accounted and stays (or, after a
-                    // restart rebuilt `accepted` from the trimmed
-                    // ledger, becomes again) accepted — unless it
-                    // carries a sticky frozen refusal, which only the
-                    // over-claim path sets and whose books are the
-                    // grant its observed max already exceeds. Books
-                    // unknown (a hard kill lost the annotation before
-                    // any snapshot): the window is conservatively
-                    // excluded from publication — it cannot be in
-                    // `accepted` post-restart — and refusing it would
-                    // misreport a fully-accounted window, so it keeps
-                    // its earned status.
-                    if let Some(&recorded) = guard.settled.get(&id) {
-                        if observed > recorded {
-                            guard.accepted.remove(&id);
-                            if guard.refused.insert(id) {
-                                stats.bump(&stats.budget_refusals);
-                            }
-                        } else if !guard.refused.contains(&id) {
-                            guard.accepted.insert(id);
-                        }
-                    }
-                } else if !guard.accepted.contains(&id) && guard.refused.insert(id) {
-                    stats.bump(&stats.budget_refusals);
-                }
-            }
+    let (decisions, ledger) = {
+        let mut engine = engine.lock().unwrap();
+        let decisions = engine.decide(view, view.newest_window());
+        (decisions, engine.ledger_bytes())
+    };
+    stats
+        .budget_decisions
+        .fetch_add(decisions.new_decisions, Ordering::Relaxed);
+    stats
+        .budget_refusals
+        .fetch_add(decisions.new_refusals, Ordering::Relaxed);
+    // Unconditional on the base ring: a window settled down to 0 must
+    // overwrite any stale nonzero annotation.
+    if let Some(ring) = &mut base.lock().unwrap().ring {
+        for &(id, spent) in &decisions.settled {
+            ring.record_spend(id, spent);
         }
     }
-    // Grant-session pre-allocation: decide the *next* window's ε′ now —
-    // before any of its data exists — so subscribed clients can
-    // randomize at the announced rate and settlement later observes
-    // spend == grant. Bootstrap (no data at all) grants the ring's
-    // current newest window, the first one clients will fill. The
-    // signal for the upcoming window is the shift between the two
-    // newest observed windows (a cold start counts as a full shift —
-    // the policy buys data when it knows nothing). When the window was
-    // already decided (an earlier tick, or a restored ledger after
-    // restart), the standing decision is re-announced unchanged — the
-    // board dedupes, and a restarted node's empty board needs the
-    // current grant back for late joiners.
-    let announce = if grants {
-        let next = if view.merged().num_reports == 0 {
-            view.newest_window()
-        } else {
-            view.newest_window() + 1
-        };
-        if guard.accountant.decided().is_none_or(|d| next > d) {
-            let divergence = match windows.len().checked_sub(2) {
-                Some(j) if windows[j].0 + 1 == windows[j + 1].0 => {
-                    window_divergence(graph, windows[j].1, windows[j + 1].1)
-                }
-                _ => 1.0,
-            };
-            let g = guard.accountant.allocate(next, divergence);
-            stats.bump(&stats.budget_decisions);
-            Some(GrantFrame {
-                epoch: g.epoch,
-                window: g.window,
-                granted_nano: g.granted_nano,
-            })
-        } else {
-            guard.accountant.latest_grant().map(|r| GrantFrame {
-                epoch: r.epoch,
-                window: r.window,
-                granted_nano: r.granted_nano,
-            })
-        }
-    } else {
-        None
-    };
-    // Books for windows that slid out of the ring no longer gate
-    // anything: the expired-but-live guard above only consults them for
-    // windows still in the view, and publication only filters live
-    // windows. (The budget *horizon* needs no books at all — the
-    // accountant's ledger and grant history are self-contained and
-    // survive independently of ring retention, which is what lets `w`
-    // exceed the ring depth.)
-    let oldest = view.oldest_window();
-    guard.refused.retain(|&id| id >= oldest);
-    guard.accepted.retain(|&id| id >= oldest);
-    guard.settled.retain(|&id, _| id >= oldest);
-    guard.mirrored.retain(|&id, _| id >= oldest);
-    if !mirrors.is_empty() {
+    let moved: Vec<(u64, u64)> = decisions
+        .settled
+        .iter()
+        .copied()
+        .filter(|&(id, spent)| local.mirrored.insert(id, spent) != Some(spent))
+        .collect();
+    local.mirrored.retain(|&id, _| id >= view.oldest_window());
+    if !moved.is_empty() {
         for shard in shards {
             if let Some(ring) = &mut shard.lock().unwrap().ring {
-                for &(id, spent) in &mirrors {
+                for &(id, spent) in &moved {
                     ring.record_spend(id, spent);
                 }
             }
         }
     }
-    drop(base_guard);
-    let encoded = guard.accountant.encode();
-    if encoded != guard.persisted {
-        storage::write_blob_atomic(&storage::budget_path(&config.data_dir), &encoded)?;
-        guard.persisted = encoded;
+    if ledger != local.persisted {
+        write_blob_atomic(&storage::budget_path(&config.data_dir), &ledger)?;
+        local.persisted = ledger;
     }
-    Ok(announce)
+    Ok(decisions.grant)
 }
 
 /// The maintenance thread: publishes the merged sliding-window view
@@ -1274,9 +1024,10 @@ fn maintenance_loop(
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
     latest: Arc<Mutex<Option<StreamPublication>>>,
-    budget: Option<Arc<Mutex<BudgetState>>>,
+    engine: Option<Arc<Mutex<PublicationEngine>>>,
     board: Option<Arc<GrantBoard>>,
 ) {
+    let mut budget_pass = BudgetPassState::default();
     let publish_every = config.stream.as_ref().map(|s| s.publish_every);
     let group_commit = matches!(config.sync_policy, SyncPolicy::GroupCommit { .. });
     let mut last_publish = Instant::now();
@@ -1301,11 +1052,19 @@ fn maintenance_loop(
                     // Budget decisions run against the same view the
                     // publication describes, so the published accounting
                     // is never ahead of or behind the window list.
-                    let budget_pub = budget.as_ref().map(|state| {
-                        match run_budget_decisions(&config, &view, state, &base, &shards, &stats) {
+                    let budget_pub = engine.as_ref().map(|engine| {
+                        match run_budget_pass(
+                            &config,
+                            &view,
+                            engine,
+                            &base,
+                            &shards,
+                            &stats,
+                            &mut budget_pass,
+                        ) {
                             // The grant is broadcast only after the
                             // decision behind it is persisted (see
-                            // run_budget_decisions): no client ever
+                            // run_budget_pass): no client ever
                             // randomizes against a grant a restart
                             // could re-decide.
                             Ok(Some(grant)) => {
@@ -1319,7 +1078,7 @@ fn maintenance_loop(
                             Ok(None) => {}
                             Err(_) => stats.bump(&stats.io_errors),
                         }
-                        BudgetPublication::of(&state.lock().unwrap())
+                        engine.lock().unwrap().summary()
                     });
                     seq += 1;
                     let publication = StreamPublication {
@@ -1345,7 +1104,7 @@ fn maintenance_loop(
                 .iter()
                 .any(|s| s.lock().unwrap().wal.offset() >= config.wal_max_bytes);
             if over_limit {
-                match compact_online(&config, &base, &shards, budget.as_deref()) {
+                match compact_online(&config, &base, &shards, engine.as_deref()) {
                     Ok(()) => stats.bump(&stats.compactions),
                     // A failing compaction (e.g. disk full) pauses every
                     // shard for its duration; back off instead of
@@ -1495,7 +1254,7 @@ fn compact_online(
     config: &ServerConfig,
     base: &Mutex<BaseState>,
     shards: &[Arc<Mutex<Shard>>],
-    budget: Option<&Mutex<BudgetState>>,
+    engine: Option<&Mutex<PublicationEngine>>,
 ) -> std::io::Result<()> {
     let mut base_guard = base.lock().unwrap();
     let mut guards: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
@@ -1521,11 +1280,10 @@ fn compact_online(
         // (which never carry spend annotations), and the compacted ring
         // file is what recovery seeds a fresh accountant from when the
         // BUDGET ledger is absent or superseded.
-        if let Some(state) = budget {
-            let guard = state.lock().unwrap();
+        if let Some(engine) = engine {
             // Unconditional: a window settled to 0 must overwrite any
             // stale nonzero annotation merged in from the old base ring.
-            for d in guard.accountant.decisions() {
+            for d in engine.lock().unwrap().accountant().decisions() {
                 ring.record_spend(d.window, d.spent_nano);
             }
         }
@@ -1539,7 +1297,7 @@ fn compact_online(
         &total,
     )?;
     if let Some(ring) = &ring_total {
-        storage::write_blob_atomic(
+        write_blob_atomic(
             &storage::ring_path(&config.data_dir, new_gen),
             &ring.encode_ring(),
         )?;

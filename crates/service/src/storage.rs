@@ -19,10 +19,11 @@
 //!   dispatches on the payload magic). A torn tail (crash mid-write) is
 //!   detected by the length/CRC pair and cleanly ignored.
 //! * `shard-<gen>-<i>.counts` — shard `i`'s periodic counter snapshot:
-//!   `"TSSH"`, `u16` version, `u64` WAL byte offset covered, `u32`
-//!   header CRC, then the embedded (self-validating) counts snapshot.
-//!   Reports logged past the offset are recovered by replaying the log
-//!   tail.
+//!   `"TSSH"`, `u16` version, `u64` WAL byte offset covered, `u64`
+//!   counts-snapshot length, `u32` header CRC, then the embedded
+//!   (self-validating) counts snapshot and, when streaming, the shard's
+//!   window ring. Reports logged past the offset are recovered by
+//!   replaying the log tail.
 //!
 //! ## Recovery = snapshot + log tail, then compaction
 //!
@@ -63,7 +64,7 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use trajshare_aggregate::snapshot::{
-    crc32, read_snapshot_file, write_snapshot_file, SnapshotError,
+    crc32, read_snapshot_file, write_blob_atomic, write_snapshot_file, SnapshotError,
 };
 use trajshare_aggregate::{
     AggregateCounts, Aggregator, Report, ReportBatch, WindowBudgetAccountant, WindowConfig,
@@ -76,9 +77,9 @@ const MANIFEST_MAGIC: [u8; 4] = *b"TSMF";
 const SHARD_MAGIC: [u8; 4] = *b"TSSH";
 /// Version of the manifest header.
 const STORAGE_VERSION: u16 = 1;
-/// Current shard-counts header version: v2 appends an embedded window
-/// ring (possibly empty) after the counts snapshot. v1 files (no ring
-/// length field) remain readable.
+/// The one shard-counts header version this build reads and writes: the
+/// counts snapshot's length is explicit, and an embedded window ring
+/// (possibly empty) follows it.
 const SHARD_VERSION: u16 = 2;
 /// WAL record header: payload length + payload CRC.
 const WAL_RECORD_HEADER: usize = 8;
@@ -151,13 +152,7 @@ pub fn write_manifest(dir: &Path, gen: u64) -> std::io::Result<()> {
     bytes.extend_from_slice(&gen.to_le_bytes());
     let crc = crc32(&bytes);
     bytes.extend_from_slice(&crc.to_le_bytes());
-    let tmp = dir.join("MANIFEST.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(tmp, manifest_path(dir))
+    write_blob_atomic(&manifest_path(dir), &bytes)
 }
 
 /// When (if ever) the WAL forces data onto stable storage.
@@ -478,7 +473,7 @@ pub fn write_shard_counts(
     bytes.extend_from_slice(&SHARD_MAGIC);
     bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
     bytes.extend_from_slice(&wal_offset.to_le_bytes());
-    // v2: the counts-snapshot length, so the ring's start is explicit.
+    // The counts-snapshot length, so the ring's start is explicit.
     bytes.extend_from_slice(&(counts_snap.len() as u64).to_le_bytes());
     // The embedded snapshots carry their own CRCs; this one guards the
     // header — above all the covered-offset field, where a silent flip
@@ -494,7 +489,6 @@ pub fn write_shard_counts(
 
 /// Reads a shard counter file back as `(counts, covered WAL offset, raw
 /// ring blob)`, validating the header CRC before trusting the offset.
-/// v1 files (pre-streaming) decode with no ring.
 pub fn read_shard_counts(
     path: &Path,
 ) -> Result<(AggregateCounts, u64, Option<Vec<u8>>), SnapshotError> {
@@ -506,40 +500,26 @@ pub fn read_shard_counts(
         return Err(SnapshotError::BadMagic);
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    match version {
-        1 => {
-            if bytes.len() < 18 {
-                return Err(SnapshotError::Truncated);
-            }
-            let stored_crc = u32::from_le_bytes(bytes[14..18].try_into().unwrap());
-            if crc32(&bytes[..14]) != stored_crc {
-                return Err(SnapshotError::BadCrc);
-            }
-            let offset = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
-            let counts = AggregateCounts::decode_snapshot(&bytes[18..])?;
-            Ok((counts, offset, None))
-        }
-        2 => {
-            const HEADER: usize = 4 + 2 + 8 + 8;
-            if bytes.len() < HEADER + 4 {
-                return Err(SnapshotError::Truncated);
-            }
-            let stored_crc = u32::from_le_bytes(bytes[HEADER..HEADER + 4].try_into().unwrap());
-            if crc32(&bytes[..HEADER]) != stored_crc {
-                return Err(SnapshotError::BadCrc);
-            }
-            let offset = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
-            let counts_len = u64::from_le_bytes(bytes[14..22].try_into().unwrap()) as usize;
-            let body = &bytes[HEADER + 4..];
-            if body.len() < counts_len {
-                return Err(SnapshotError::Truncated);
-            }
-            let counts = AggregateCounts::decode_snapshot(&body[..counts_len])?;
-            let ring = &body[counts_len..];
-            Ok((counts, offset, (!ring.is_empty()).then(|| ring.to_vec())))
-        }
-        v => Err(SnapshotError::UnsupportedVersion(v)),
+    if version != SHARD_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
     }
+    const HEADER: usize = 4 + 2 + 8 + 8;
+    if bytes.len() < HEADER + 4 {
+        return Err(SnapshotError::Truncated);
+    }
+    let stored_crc = u32::from_le_bytes(bytes[HEADER..HEADER + 4].try_into().unwrap());
+    if crc32(&bytes[..HEADER]) != stored_crc {
+        return Err(SnapshotError::BadCrc);
+    }
+    let offset = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
+    let counts_len = u64::from_le_bytes(bytes[14..22].try_into().unwrap()) as usize;
+    let body = &bytes[HEADER + 4..];
+    if body.len() < counts_len {
+        return Err(SnapshotError::Truncated);
+    }
+    let counts = AggregateCounts::decode_snapshot(&body[..counts_len])?;
+    let ring = &body[counts_len..];
+    Ok((counts, offset, (!ring.is_empty()).then(|| ring.to_vec())))
 }
 
 /// Everything [`recover`] reconstructed and compacted.
@@ -689,18 +669,6 @@ pub(crate) fn recover_locked(
     write_manifest(dir, rec.gen)?;
     sweep_stale_generations(dir, rec.gen);
     Ok(rec)
-}
-
-/// Atomic small-file write: tmp + fsync + rename (the manifest/snapshot
-/// idiom, for blobs that already self-validate).
-pub(crate) fn write_blob_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(tmp, path)
 }
 
 /// The shared reconstruction pass behind [`recover`] and [`load`]:
@@ -998,7 +966,17 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read_shard_counts(&path).unwrap_err(), SnapshotError::BadCrc);
 
-        // v2 with an embedded ring roundtrips both parts.
+        // Version 1 (never written by any deployment) is rejected like
+        // any other unknown version.
+        bytes[8] ^= 0x04;
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            read_shard_counts(&path).unwrap_err(),
+            SnapshotError::UnsupportedVersion(1)
+        );
+
+        // An embedded ring roundtrips alongside the counts.
         let mut ring = WindowedAggregator::new(vec![0; 5], WINDOW);
         for i in 0..20 {
             ring.ingest(&toy_report(i));
