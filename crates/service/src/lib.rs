@@ -26,6 +26,9 @@
 //! streamer for smoke tests and load measurements).
 
 pub mod client;
+mod conn;
+mod export;
+mod maintenance;
 pub mod server;
 pub mod storage;
 

@@ -47,6 +47,12 @@
 //!   persisted on every decision so *"Σ published spend over any `w`
 //!   consecutive windows ≤ ε"* holds across kill/restart.
 //!
+//! Module map: this file keeps configuration, stats, startup
+//! ([`IngestServer::start`]) and the [`ServerHandle`]; the connection
+//! path (acceptor, workers, per-connection handler) is in `conn.rs`, the
+//! maintenance thread (publication, budget pass, online compaction) in
+//! `maintenance.rs`, and the `TSCL` export listener in `export.rs`.
+//!
 //! Protocol: the client streams [`Report::encode_frame`] frames (and/or
 //! `TSR4` batch frames, [`trajshare_aggregate::batch`]), then shuts down
 //! its write half; the server ingests to EOF, flushes the WAL, and
@@ -59,28 +65,24 @@
 //! single-report frames stay byte-identical to the pre-batch protocol:
 //! one ack, at EOF.
 
+use crate::conn::{acceptor_loop, worker_loop};
+use crate::export::export_loop;
+use crate::maintenance::{maintenance_loop, merged_ring};
 use crate::storage::{self, Recovery, SyncPolicy, WalWriter};
-use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
+use crossbeam::channel;
 use serde::Serialize;
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use trajshare_aggregate::clusterproto::{
-    read_cluster_frame, write_cluster_frame, ClusterFrame, WorkerSnapshot,
-};
-use trajshare_aggregate::grant;
-use trajshare_aggregate::snapshot::{crc32, write_blob_atomic};
+use trajshare_aggregate::snapshot::crc32;
 pub use trajshare_aggregate::BudgetPublication;
 use trajshare_aggregate::{
     AggregateCounts, Aggregator, EstimatorBackend, GrantBoard, GrantFrame, GrantRecord,
-    GrantSubscriber, MobilityModel, PublicationEngine, Report, ReportBatch, StreamDecoder,
-    StreamingEstimator, WindowBudgetAccountant, WindowBudgetConfig, WindowConfig,
-    WindowedAggregator, WireFrame,
+    MobilityModel, PublicationEngine, Report, ReportBatch, StreamingEstimator,
+    WindowBudgetAccountant, WindowBudgetConfig, WindowConfig, WindowedAggregator,
 };
 use trajshare_core::RegionGraph;
 
@@ -171,9 +173,9 @@ impl StreamServerConfig {
 /// The per-connection slice of the streaming options `handle_conn`
 /// enforces (everything else is the maintenance thread's business).
 #[derive(Debug, Clone, Copy)]
-struct StreamIngestPolicy {
-    server_clock: bool,
-    max_conn_advance: u64,
+pub(crate) struct StreamIngestPolicy {
+    pub(crate) server_clock: bool,
+    pub(crate) max_conn_advance: u64,
 }
 
 /// Tunables for one server instance.
@@ -294,7 +296,7 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    fn bump(&self, field: &AtomicU64) {
+    pub(crate) fn bump(&self, field: &AtomicU64) {
         field.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -363,19 +365,19 @@ pub struct IngestProfileSnapshot {
 /// streaming), and its WAL. The mutex is held per report by the owning
 /// worker and briefly by merge-on-demand readers
 /// ([`ServerHandle::counts`]), the maintenance thread, and shutdown.
-struct Shard {
-    agg: Aggregator,
-    ring: Option<WindowedAggregator>,
-    wal: WalWriter,
-    counts_path: PathBuf,
-    since_snapshot: u64,
-    snapshot_every: u64,
+pub(crate) struct Shard {
+    pub(crate) agg: Aggregator,
+    pub(crate) ring: Option<WindowedAggregator>,
+    pub(crate) wal: WalWriter,
+    pub(crate) counts_path: PathBuf,
+    pub(crate) since_snapshot: u64,
+    pub(crate) snapshot_every: u64,
 }
 
 impl Shard {
     /// WAL-then-count ingestion of one validated report. `payload` is the
     /// exact wire payload (already validated by decode), logged verbatim.
-    fn ingest(&mut self, report: &Report, payload: &[u8]) -> std::io::Result<()> {
+    pub(crate) fn ingest(&mut self, report: &Report, payload: &[u8]) -> std::io::Result<()> {
         self.wal.append(payload)?;
         self.agg.ingest(report);
         if let Some(ring) = &mut self.ring {
@@ -394,7 +396,7 @@ impl Shard {
     /// are fed column-wise, and the WAL is flushed before returning —
     /// the caller acks the batch right after, and an acked batch must be
     /// durable.
-    fn ingest_batch(
+    pub(crate) fn ingest_batch(
         &mut self,
         batch: &ReportBatch,
         payload: &[u8],
@@ -446,10 +448,10 @@ impl Shard {
 /// always base → shards (in index order) → budget engine for any
 /// multi-lock path (only compaction nests all three; the decision pass
 /// holds the engine lock alone).
-struct BaseState {
-    counts: AggregateCounts,
-    ring: Option<WindowedAggregator>,
-    gen: u64,
+pub(crate) struct BaseState {
+    pub(crate) counts: AggregateCounts,
+    pub(crate) ring: Option<WindowedAggregator>,
+    pub(crate) gen: u64,
 }
 
 /// One sliding-window publication (what `ingestd` prints per tick).
@@ -882,778 +884,13 @@ impl ServerHandle {
     }
 }
 
-fn acceptor_loop(
-    listener: TcpListener,
-    tx: channel::Sender<TcpStream>,
-    stats: Arc<ServerStats>,
-    stop: Arc<AtomicBool>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => match tx.try_send(stream) {
-                Ok(()) => stats.bump(&stats.accepted),
-                // Queue full: shed the connection immediately (the stream
-                // drops ⇒ RST/close) instead of buffering unboundedly.
-                Err(TrySendError::Full(_)) => stats.bump(&stats.refused),
-                Err(TrySendError::Disconnected(_)) => break,
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    rx: channel::Receiver<TcpStream>,
-    shard: Arc<Mutex<Shard>>,
-    stats: Arc<ServerStats>,
-    stop: Arc<AtomicBool>,
-    read_timeout: Duration,
-    policy: Option<StreamIngestPolicy>,
-    board: Option<Arc<GrantBoard>>,
-    profile: Option<Arc<IngestProfile>>,
-) {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(stream) => handle_conn(
-                stream,
-                &shard,
-                &stats,
-                &stop,
-                read_timeout,
-                policy,
-                board.as_deref(),
-                profile.as_deref(),
-            ),
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// What the maintenance thread remembers between budget passes.
-#[derive(Default)]
-struct BudgetPassState {
-    /// Spends already mirrored onto the shard rings *this process
-    /// lifetime* — starts empty so the first pass after a restart
-    /// re-annotates recovered windows, then gates the mirror writes so
-    /// the steady state (no spend moved) takes no shard locks.
-    mirrored: BTreeMap<u64, u64>,
-    /// Ledger bytes last persisted, to skip no-op `BUDGET` rewrites.
-    persisted: Vec<u8>,
-}
-
-/// One budget pass of the maintenance thread: the shared engine decides
-/// over the merged view (a node's watermark is simply its newest
-/// window), then the node does what only a node has — bump
-/// [`ServerStats`], mirror the settled spends onto its rings, and write
-/// `BUDGET` when the ledger moved. The persist happens before the caller
-/// can broadcast the returned grant, so a grant a client ever saw is
-/// always on disk and a restart can never re-decide it differently.
-///
-/// The mirror goes to the base ring *and* every shard ring holding the
-/// window: base-ring slots hold no data until compaction, so the shard
-/// mirrors are what persist (with the next shard snapshot) and what
-/// recovery's `window_spends()` reseeds the books from. The engine lock
-/// is never held across another lock here.
-fn run_budget_pass(
-    config: &ServerConfig,
-    view: &WindowedAggregator,
-    engine: &Mutex<PublicationEngine>,
-    base: &Mutex<BaseState>,
-    shards: &[Arc<Mutex<Shard>>],
-    stats: &ServerStats,
-    local: &mut BudgetPassState,
-) -> std::io::Result<Option<GrantFrame>> {
-    let (decisions, ledger) = {
-        let mut engine = engine.lock().unwrap();
-        let decisions = engine.decide(view, view.newest_window());
-        (decisions, engine.ledger_bytes())
-    };
-    stats
-        .budget_decisions
-        .fetch_add(decisions.new_decisions, Ordering::Relaxed);
-    stats
-        .budget_refusals
-        .fetch_add(decisions.new_refusals, Ordering::Relaxed);
-    // Unconditional on the base ring: a window settled down to 0 must
-    // overwrite any stale nonzero annotation.
-    if let Some(ring) = &mut base.lock().unwrap().ring {
-        for &(id, spent) in &decisions.settled {
-            ring.record_spend(id, spent);
-        }
-    }
-    let moved: Vec<(u64, u64)> = decisions
-        .settled
-        .iter()
-        .copied()
-        .filter(|&(id, spent)| local.mirrored.insert(id, spent) != Some(spent))
-        .collect();
-    local.mirrored.retain(|&id, _| id >= view.oldest_window());
-    if !moved.is_empty() {
-        for shard in shards {
-            if let Some(ring) = &mut shard.lock().unwrap().ring {
-                for &(id, spent) in &moved {
-                    ring.record_spend(id, spent);
-                }
-            }
-        }
-    }
-    if ledger != local.persisted {
-        write_blob_atomic(&storage::budget_path(&config.data_dir), &ledger)?;
-        local.persisted = ledger;
-    }
-    Ok(decisions.grant)
-}
-
-/// The maintenance thread: publishes the merged sliding-window view
-/// every `publish_every`, runs the per-window budget decisions, and
-/// runs size-triggered online WAL compaction.
-#[allow(clippy::too_many_arguments)]
-fn maintenance_loop(
-    config: ServerConfig,
-    base: Arc<Mutex<BaseState>>,
-    shards: Vec<Arc<Mutex<Shard>>>,
-    stats: Arc<ServerStats>,
-    stop: Arc<AtomicBool>,
-    latest: Arc<Mutex<Option<StreamPublication>>>,
-    engine: Option<Arc<Mutex<PublicationEngine>>>,
-    board: Option<Arc<GrantBoard>>,
-) {
-    let mut budget_pass = BudgetPassState::default();
-    let publish_every = config.stream.as_ref().map(|s| s.publish_every);
-    let group_commit = matches!(config.sync_policy, SyncPolicy::GroupCommit { .. });
-    let mut last_publish = Instant::now();
-    let mut seq = 0u64;
-    let mut next_compact_attempt = Instant::now();
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(20));
-        if group_commit {
-            // Enforce the time half of the group-commit bound during
-            // lulls: acked-but-unsynced records older than max_delay are
-            // fdatasync'ed here, not at the next (possibly never) ack.
-            for shard in &shards {
-                if shard.lock().unwrap().wal.sync_if_due().is_err() {
-                    stats.bump(&stats.io_errors);
-                }
-            }
-        }
-        if let Some(every) = publish_every {
-            if last_publish.elapsed() >= every {
-                last_publish = Instant::now();
-                if let Some(view) = merged_ring(&base, &shards) {
-                    // Budget decisions run against the same view the
-                    // publication describes, so the published accounting
-                    // is never ahead of or behind the window list.
-                    let budget_pub = engine.as_ref().map(|engine| {
-                        match run_budget_pass(
-                            &config,
-                            &view,
-                            engine,
-                            &base,
-                            &shards,
-                            &stats,
-                            &mut budget_pass,
-                        ) {
-                            // The grant is broadcast only after the
-                            // decision behind it is persisted (see
-                            // run_budget_pass): no client ever
-                            // randomizes against a grant a restart
-                            // could re-decide.
-                            Ok(Some(grant)) => {
-                                if let Some(board) = &board {
-                                    if board.current() != Some(grant) {
-                                        stats.bump(&stats.grants_published);
-                                    }
-                                    board.announce(grant);
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(_) => stats.bump(&stats.io_errors),
-                        }
-                        engine.lock().unwrap().summary()
-                    });
-                    seq += 1;
-                    let publication = StreamPublication {
-                        seq,
-                        newest_window: view.newest_window(),
-                        oldest_window: view.oldest_window(),
-                        windows: view
-                            .windows()
-                            .iter()
-                            .map(|(id, c)| (*id, c.num_reports))
-                            .collect(),
-                        merged_reports: view.merged().num_reports,
-                        late_reports: view.late(),
-                        budget: budget_pub,
-                    };
-                    *latest.lock().unwrap() = Some(publication);
-                    stats.bump(&stats.publications);
-                }
-            }
-        }
-        if config.wal_max_bytes != u64::MAX && Instant::now() >= next_compact_attempt {
-            let over_limit = shards
-                .iter()
-                .any(|s| s.lock().unwrap().wal.offset() >= config.wal_max_bytes);
-            if over_limit {
-                match compact_online(&config, &base, &shards, engine.as_deref()) {
-                    Ok(()) => stats.bump(&stats.compactions),
-                    // A failing compaction (e.g. disk full) pauses every
-                    // shard for its duration; back off instead of
-                    // re-freezing ingestion every tick in a doomed loop.
-                    Err(_) => {
-                        stats.bump(&stats.compaction_failures);
-                        next_compact_attempt = Instant::now() + Duration::from_secs(5);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The merged sliding-window view (base ring + every shard ring), or
-/// `None` when not streaming. Lock order: base (held across the shard
-/// merges, so a concurrent compaction cannot be observed mid-move),
-/// then shards in index order — the same order every multi-lock path
-/// uses.
-fn merged_ring(
-    base: &Mutex<BaseState>,
-    shards: &[Arc<Mutex<Shard>>],
-) -> Option<WindowedAggregator> {
-    let base = base.lock().unwrap();
-    let mut total = base.ring.clone()?;
-    for shard in shards {
-        if let Some(ring) = &shard.lock().unwrap().ring {
-            total.merge_ring(ring);
-        }
-    }
-    Some(total)
-}
-
-/// Builds the worker's shippable snapshot: merged totals, merged ring,
-/// and the current generation as the epoch — all captured under one
-/// base-then-shards lock pass (the standard order), so the counts and
-/// the ring describe the *same* instant and a concurrent compaction
-/// cannot be observed mid-move.
-fn export_snapshot(base: &Mutex<BaseState>, shards: &[Arc<Mutex<Shard>>]) -> WorkerSnapshot {
-    let base = base.lock().unwrap();
-    let mut counts = base.counts.clone();
-    let mut ring = base.ring.clone();
-    for shard in shards {
-        let guard = shard.lock().unwrap();
-        counts.merge(guard.agg.counts());
-        if let (Some(total), Some(shard_ring)) = (&mut ring, &guard.ring) {
-            total.merge_ring(shard_ring);
-        }
-    }
-    WorkerSnapshot {
-        epoch: base.gen,
-        watermark: ring.as_ref().map_or(0, |r| r.newest_window()),
-        reports: counts.num_reports,
-        counts: counts.encode_snapshot(),
-        ring: ring.map(|r| r.encode_ring()),
-    }
-}
-
-/// The cluster snapshot-export listener: serves `TSCL` `SnapshotPull`
-/// requests with the worker's current merged state, and — when the
-/// grant session is on — installs `GrantAnnounce` relays from the
-/// coordinator onto the worker's grant board, fanning each one out to
-/// this worker's subscribed client connections. Connections are
-/// handled serially (the only expected clients are one coordinator and
-/// its router's relay); a connection may issue any number of frames
-/// before closing.
-#[allow(clippy::too_many_arguments)]
-fn export_loop(
-    listener: TcpListener,
-    base: Arc<Mutex<BaseState>>,
-    shards: Vec<Arc<Mutex<Shard>>>,
-    stats: Arc<ServerStats>,
-    stop: Arc<AtomicBool>,
-    read_timeout: Duration,
-    board: Option<Arc<GrantBoard>>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if stream.set_read_timeout(Some(read_timeout)).is_err()
-                    || stream.set_nodelay(true).is_err()
-                {
-                    stats.bump(&stats.io_errors);
-                    continue;
-                }
-                loop {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    match read_cluster_frame(&mut stream) {
-                        Ok(ClusterFrame::SnapshotPull) => {
-                            let snapshot = export_snapshot(&base, &shards);
-                            if write_cluster_frame(&mut stream, &ClusterFrame::Snapshot(snapshot))
-                                .is_err()
-                            {
-                                stats.bump(&stats.io_errors);
-                                break;
-                            }
-                            stats.bump(&stats.snapshots_shipped);
-                        }
-                        // The coordinator's allocation, relayed down to
-                        // this worker's subscribed clients. Fire-and-
-                        // forget (no reply). A worker running no grant
-                        // session ignores the relay — dropping the
-                        // coordinator's connection over it would cost a
-                        // snapshot pull cycle for nothing.
-                        Ok(ClusterFrame::GrantAnnounce(grant)) => {
-                            if let Some(board) = &board {
-                                if board.current() != Some(grant) {
-                                    stats.bump(&stats.grants_published);
-                                }
-                                board.announce(grant);
-                            }
-                        }
-                        // A worker never accepts snapshots; anything but
-                        // a pull or a grant relay is a protocol
-                        // violation.
-                        Ok(_) => {
-                            stats.bump(&stats.disconnected_protocol);
-                            break;
-                        }
-                        // EOF shows up as an Io error from read_exact —
-                        // the normal end of a pull session. Real socket
-                        // errors land here too; either way the next
-                        // coordinator connect starts clean.
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-/// Online WAL compaction: fold the base and every live shard into the
-/// next generation's base snapshot (and ring), start fresh logs, commit
-/// with the manifest flip, sweep the old generation. Ingestion pauses
-/// for the duration (all shard locks are held), which is what makes the
-/// fold exact; the sequencing makes a crash at any point safe — until
-/// the flip lands, the old generation (whose logs are complete, since
-/// they are flushed first) remains authoritative, and the half-built
-/// next generation is swept by the next recovery.
-fn compact_online(
-    config: &ServerConfig,
-    base: &Mutex<BaseState>,
-    shards: &[Arc<Mutex<Shard>>],
-    engine: Option<&Mutex<PublicationEngine>>,
-) -> std::io::Result<()> {
-    let mut base_guard = base.lock().unwrap();
-    let mut guards: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
-    // 1. Complete the old logs: every acked report must be on disk (in
-    //    the kernel at least) before the old generation becomes the
-    //    recovery source of record for a mid-compaction crash.
-    for g in guards.iter_mut() {
-        g.wal.flush()?;
-    }
-    // 2. Fold totals and rings.
-    let mut total = base_guard.counts.clone();
-    for g in guards.iter() {
-        total.merge(g.agg.counts());
-    }
-    let ring_total = base_guard.ring.clone().map(|mut ring| {
-        for g in guards.iter() {
-            if let Some(shard_ring) = &g.ring {
-                ring.merge_ring(shard_ring);
-            }
-        }
-        // Stamp the ledger's settled spends onto the folded ring: the
-        // per-window data only just arrived here from the shard rings
-        // (which never carry spend annotations), and the compacted ring
-        // file is what recovery seeds a fresh accountant from when the
-        // BUDGET ledger is absent or superseded.
-        if let Some(engine) = engine {
-            // Unconditional: a window settled to 0 must overwrite any
-            // stale nonzero annotation merged in from the old base ring.
-            for d in engine.lock().unwrap().accountant().decisions() {
-                ring.record_spend(d.window, d.spent_nano);
-            }
-        }
-        ring
-    });
-    // 3. Write the next generation's base (and ring), then fresh logs.
-    let old_gen = base_guard.gen;
-    let new_gen = old_gen + 1;
-    trajshare_aggregate::write_snapshot_file(
-        &storage::base_path(&config.data_dir, new_gen),
-        &total,
-    )?;
-    if let Some(ring) = &ring_total {
-        write_blob_atomic(
-            &storage::ring_path(&config.data_dir, new_gen),
-            &ring.encode_ring(),
-        )?;
-    }
-    let mut new_wals = Vec::with_capacity(guards.len());
-    for i in 0..guards.len() {
-        new_wals.push(WalWriter::create_with_policy(
-            &storage::wal_path(&config.data_dir, new_gen, i),
-            config.wal_flush_every,
-            config.sync_policy,
-        )?);
-    }
-    // 4. Commit: the manifest flip makes the new generation (whose base
-    //    already contains everything) authoritative.
-    storage::write_manifest(&config.data_dir, new_gen)?;
-    // 5. Swap live state onto the new generation.
-    let watermark = ring_total.as_ref().map(|r| r.newest_window());
-    for (i, g) in guards.iter_mut().enumerate() {
-        g.agg = Aggregator::from_region_tiles(config.region_tiles.clone());
-        g.ring = config.stream.as_ref().map(|s| {
-            let mut ring = WindowedAggregator::new(config.region_tiles.clone(), s.window);
-            if let Some(w) = watermark {
-                ring.advance_to(w);
-            }
-            ring
-        });
-        g.wal = new_wals.remove(0);
-        g.counts_path = storage::shard_counts_path(&config.data_dir, new_gen, i);
-        g.since_snapshot = 0;
-    }
-    base_guard.counts = total;
-    base_guard.ring = ring_total;
-    base_guard.gen = new_gen;
-    drop(guards);
-    drop(base_guard);
-    // 6. Cleanup outside the locks: delete the old generation.
-    storage::sweep_stale_generations(&config.data_dir, new_gen);
-    Ok(())
-}
-
 /// The collector-edge clock: seconds since the Unix epoch (saturating
 /// at 0 on a pre-epoch system clock rather than panicking).
-fn server_clock_now() -> u64 {
+pub(crate) fn server_clock_now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
-}
-
-/// Writes one cumulative ack to the client: the classic raw `u64` LE
-/// until a `TSGH` hello upgraded the connection, a framed `TSAK`
-/// through the shared writer afterwards — serialized against the grant
-/// board's pushes by the writer's own lock, so an ack and a pushed
-/// grant can never interleave mid-frame.
-fn write_ack(stream: &mut TcpStream, framed: &Option<GrantSubscriber>, acked: u64) -> bool {
-    match framed {
-        Some(writer) => {
-            // Stack payload + one writev: no per-ack heap allocation,
-            // and the (prefix, payload) pair leaves in a single syscall.
-            let payload = grant::ack_payload(acked);
-            match writer.lock() {
-                Ok(mut w) => grant::write_control_frame(&mut *w, &payload)
-                    .and_then(|()| w.flush())
-                    .is_ok(),
-                Err(_) => false,
-            }
-        }
-        None => stream.write_all(&acked.to_le_bytes()).is_ok(),
-    }
-}
-
-/// Reads one client stream to EOF, ingesting every framed report, then
-/// flushes the WAL and acks. Any protocol violation or stall drops the
-/// connection without an ack. A `TSGH` hello upgrades the server→client
-/// direction to control frames (framed acks, pushed grants — see
-/// [`StreamServerConfig::grants`]); connections that never send one
-/// keep the classic raw-ack exchange byte for byte.
-#[allow(clippy::too_many_arguments)]
-fn handle_conn(
-    mut stream: TcpStream,
-    shard: &Mutex<Shard>,
-    stats: &ServerStats,
-    stop: &AtomicBool,
-    read_timeout: Duration,
-    policy: Option<StreamIngestPolicy>,
-    board: Option<&GrantBoard>,
-    profile: Option<&IngestProfile>,
-) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() || stream.set_nodelay(true).is_err() {
-        stats.bump(&stats.io_errors);
-        return;
-    }
-    let mut decoder = StreamDecoder::new();
-    // Per-connection scratch for `TSR4` batch frames: decoded column
-    // storage is reused across batches, so the hot path allocates
-    // nothing per report once the columns have grown to working size.
-    let mut batch_scratch = ReportBatch::new();
-    let mut accepted = 0u64;
-    // `Some` once a hello upgraded this connection: the shared writer
-    // the grant board pushes through and every ack goes through.
-    let mut framed: Option<GrantSubscriber> = None;
-    // Windows this connection may still advance the shard watermark.
-    let mut advance_budget = policy.map_or(u64::MAX, |p| p.max_conn_advance);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            let _ = shard.lock().unwrap().wal.flush();
-            return;
-        }
-        // The decoder reads the socket directly into its own buffer
-        // (≥ [`StreamDecoder::READ_CHUNK`] spare per read), so a whole
-        // kernel receive buffer lands in one syscall + one copy instead
-        // of bouncing through a fixed stack chunk.
-        match decoder.read_from(&mut stream) {
-            Ok(0) => {
-                // EOF: make everything durable first (already-validated
-                // reports stand regardless of how the stream ended).
-                if shard.lock().unwrap().wal.flush().is_err() {
-                    stats.bump(&stats.io_errors);
-                    return;
-                }
-                // A stream that ends mid-frame is a protocol violation,
-                // not a completed upload: no ack, so the client cannot
-                // mistake a truncated send for full durability.
-                if decoder.pending() > 0 {
-                    stats.bump(&stats.disconnected_protocol);
-                    return;
-                }
-                if !write_ack(&mut stream, &framed, accepted) {
-                    stats.bump(&stats.io_errors);
-                    return;
-                }
-                let _ = stream.shutdown(Shutdown::Both);
-                stats.bump(&stats.completed);
-                return;
-            }
-            Ok(_) => {
-                // One cumulative ack per drained read round (not per
-                // batch): every batch's WAL flush happens inside
-                // `ingest_batch`, so the deferred ack still only covers
-                // durable reports — coalescing trades "re-send at most
-                // one batch after a crash" for "at most one read round"
-                // and removes an ack syscall per batch. TSR2/TSR3-only
-                // clients never see mid-stream acks either way — their
-                // connections stay byte-identical to the pre-batch
-                // protocol (final ack at EOF only).
-                let mut ack_due = false;
-                loop {
-                    match decoder.next_wire_frame() {
-                        Ok(Some(WireFrame::Batch { payload })) => {
-                            let decoded = match profile {
-                                Some(p) => {
-                                    let (mut validate_ns, mut fill_ns) = (0u64, 0u64);
-                                    let r = batch_scratch.decode_payload_timed(
-                                        payload,
-                                        &mut validate_ns,
-                                        &mut fill_ns,
-                                    );
-                                    p.validate_ns.fetch_add(validate_ns, Ordering::Relaxed);
-                                    p.decode_ns.fetch_add(fill_ns, Ordering::Relaxed);
-                                    r
-                                }
-                                None => batch_scratch.decode_payload_into(payload),
-                            };
-                            let Ok(mut payload_crc) = decoded else {
-                                stats.bump(&stats.disconnected_protocol);
-                                return;
-                            };
-                            let n = batch_scratch.num_reports() as u64;
-                            let stamped;
-                            let payload: &[u8] = if policy.is_some_and(|p| p.server_clock) {
-                                // Edge-stamp the whole batch; the stamped
-                                // encoding is what the WAL persists.
-                                batch_scratch.stamp_t(server_clock_now());
-                                stamped = batch_scratch.encode_payload();
-                                payload_crc = crc32(&stamped);
-                                &stamped
-                            } else {
-                                payload
-                            };
-                            let mut guard = shard.lock().unwrap();
-                            if !policy.is_some_and(|p| p.server_clock) {
-                                if let Some(ring) = &guard.ring {
-                                    // Police the batch's furthest window:
-                                    // window_of is monotone in t, so this
-                                    // is the full advance the batch would
-                                    // cause. Refusal is batch-wide — one
-                                    // frame, one decision, one ack.
-                                    let w = ring.config().window_of(batch_scratch.max_t());
-                                    let newest = ring.newest_window();
-                                    let has_live = ring.merged().num_reports > 0;
-                                    if w > newest && has_live {
-                                        let delta = w - newest;
-                                        if delta > advance_budget {
-                                            drop(guard);
-                                            stats
-                                                .watermark_throttled
-                                                .fetch_add(n, Ordering::Relaxed);
-                                            // The round's unchanged
-                                            // cumulative ack tells the
-                                            // client the batch was not
-                                            // accepted.
-                                            ack_due = true;
-                                            continue;
-                                        }
-                                        advance_budget -= delta;
-                                    }
-                                }
-                            }
-                            if guard
-                                .ingest_batch(&batch_scratch, payload, payload_crc, profile)
-                                .is_err()
-                            {
-                                stats.bump(&stats.io_errors);
-                                return;
-                            }
-                            drop(guard);
-                            accepted += n;
-                            stats.reports_ingested.fetch_add(n, Ordering::Relaxed);
-                            if let Some(p) = profile {
-                                p.batches.fetch_add(1, Ordering::Relaxed);
-                                p.reports.fetch_add(n, Ordering::Relaxed);
-                            }
-                            ack_due = true;
-                        }
-                        Ok(Some(WireFrame::Single {
-                            mut report,
-                            payload,
-                        })) => {
-                            // Collector-edge stamping: the *stamped*
-                            // encoding is what the WAL persists, so a
-                            // replayed report lands in the same window.
-                            let stamped;
-                            let payload: &[u8] = if policy.is_some_and(|p| p.server_clock) {
-                                report.t = server_clock_now();
-                                stamped = report.encode();
-                                &stamped
-                            } else {
-                                payload
-                            };
-                            let mut guard = shard.lock().unwrap();
-                            // The advance budget polices *client-declared*
-                            // timestamps; an edge-stamped `t` is the
-                            // server's own clock and is trusted by
-                            // construction (it can only advance the
-                            // watermark at wall-time rate).
-                            if !policy.is_some_and(|p| p.server_clock) {
-                                if let Some(ring) = &guard.ring {
-                                    let w = ring.config().window_of(report.t);
-                                    let newest = ring.newest_window();
-                                    // The budget protects *live data* from
-                                    // eviction; advancing an empty ring
-                                    // evicts nothing and is free — which is
-                                    // also what lets clients stamping
-                                    // epoch seconds reach "now" from a
-                                    // cold start's watermark 0.
-                                    let has_live = ring.merged().num_reports > 0;
-                                    if w > newest && has_live {
-                                        let delta = w - newest;
-                                        if delta > advance_budget {
-                                            // Refusing (not clamping) keeps
-                                            // the report's LDP payload intact
-                                            // and the watermark honest; the
-                                            // client sees a smaller ack.
-                                            drop(guard);
-                                            stats.bump(&stats.watermark_throttled);
-                                            continue;
-                                        }
-                                        advance_budget -= delta;
-                                    }
-                                }
-                            }
-                            if guard.ingest(&report, payload).is_err() {
-                                stats.bump(&stats.io_errors);
-                                return;
-                            }
-                            drop(guard);
-                            accepted += 1;
-                            stats.bump(&stats.reports_ingested);
-                        }
-                        Ok(Some(WireFrame::Hello { hello })) => {
-                            // Upgrade to the grant session. From here
-                            // the server→client direction is framed
-                            // (TSAK acks, pushed TSGB grants). A
-                            // repeated hello is idempotent.
-                            if framed.is_none() {
-                                if hello.subscribes() && board.is_none() {
-                                    // Subscribing against a server that
-                                    // runs no grant session would leave
-                                    // the client waiting forever for a
-                                    // grant; refuse loudly instead.
-                                    stats.bump(&stats.disconnected_protocol);
-                                    return;
-                                }
-                                let Ok(clone) = stream.try_clone() else {
-                                    stats.bump(&stats.io_errors);
-                                    return;
-                                };
-                                // Bound how long a stalled subscriber
-                                // can hold the grant board's push loop
-                                // (the fd is shared with `stream`, so
-                                // this also bounds ack writes — fine,
-                                // they are tens of bytes).
-                                let _ = clone.set_write_timeout(Some(Duration::from_secs(1)));
-                                let writer: GrantSubscriber = Arc::new(Mutex::new(clone));
-                                if hello.subscribes() {
-                                    if let Some(board) = board {
-                                        // Registers *and* writes the
-                                        // current grant to this
-                                        // connection atomically — the
-                                        // late-joiner catch-up.
-                                        board.subscribe(&writer);
-                                        stats.bump(&stats.grant_subscriptions);
-                                    }
-                                }
-                                framed = Some(writer);
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Hostile or corrupt stream: drop it. Reports
-                            // already ingested stay — each frame is an
-                            // independent, validated LDP message.
-                            stats.bump(&stats.disconnected_protocol);
-                            return;
-                        }
-                    }
-                }
-                if ack_due {
-                    let t0 = profile.map(|_| Instant::now());
-                    // Written after every batch in the round flushed its
-                    // WAL record, so the ack only ever covers durable
-                    // reports.
-                    if !write_ack(&mut stream, &framed, accepted) {
-                        stats.bump(&stats.io_errors);
-                        return;
-                    }
-                    if let (Some(p), Some(t0)) = (profile, t0) {
-                        p.ack_ns
-                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                stats.bump(&stats.disconnected_slow);
-                return;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                stats.bump(&stats.io_errors);
-                return;
-            }
-        }
-    }
 }
 
 /// A compact, JSON-serializable fingerprint of a counter set — what the
