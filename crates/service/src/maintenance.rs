@@ -65,12 +65,12 @@ fn run_budget_pass(
             ring.record_spend(id, spent);
         }
     }
-    let moved: Vec<(u64, u64)> = decisions
-        .settled
-        .iter()
-        .copied()
-        .filter(|&(id, spent)| local.mirrored.insert(id, spent) != Some(spent))
-        .collect();
+    let mut moved = Vec::new();
+    for &(id, spent) in &decisions.settled {
+        if local.mirrored.insert(id, spent) != Some(spent) {
+            moved.push((id, spent));
+        }
+    }
     local.mirrored.retain(|&id, _| id >= view.oldest_window());
     if !moved.is_empty() {
         for shard in shards {

@@ -627,9 +627,10 @@ impl IngestServer {
         }
 
         let engine = config.stream.as_ref().and_then(|s| {
+            let budget = s.budget?;
             let ring_spends = base_ring.as_ref().map(|r| r.window_spends());
             Some(Arc::new(Mutex::new(PublicationEngine::restore(
-                s.budget?,
+                budget,
                 s.graph.clone(),
                 s.grants,
                 stored_budget,
