@@ -81,6 +81,21 @@ pub struct ReportBatch {
     pub trans_head: Vec<u32>,
 }
 
+/// One report's extent inside a [`ReportBatch`]: its index in the
+/// per-report columns and its ranges in the concatenated ones (what
+/// [`ReportBatch::rows`] yields).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchRow {
+    /// Index into `t_delta` / `n_uni` / `n_exact` / `n_trans`.
+    pub index: usize,
+    /// Range in `uni_pos` / `uni_region`.
+    pub uni: std::ops::Range<usize>,
+    /// Range in `exact_pos` / `exact_region`.
+    pub exact: std::ops::Range<usize>,
+    /// Range in `trans_tail` / `trans_head`.
+    pub trans: std::ops::Range<usize>,
+}
+
 impl ReportBatch {
     /// Frame magic for the batch format.
     pub const MAGIC: [u8; 4] = *b"TSR4";
@@ -193,56 +208,103 @@ impl ReportBatch {
         true
     }
 
-    /// Reconstructs report `i`'s row-form, allocating. Cold paths only
-    /// (WAL replay, router fan-out); the hot ingest path stays
-    /// columnar. Prefer [`ReportBatch::reports`] when walking the whole
-    /// batch — `report_at` rescans the count columns to find offsets.
-    pub fn report_at(&self, i: usize) -> Report {
-        let u0: usize = self.n_uni[..i].iter().map(|&c| c as usize).sum();
-        let e0: usize = self.n_exact[..i].iter().map(|&c| c as usize).sum();
-        let t0: usize = self.n_trans[..i].iter().map(|&c| c as usize).sum();
-        self.report_from(i, u0, e0, t0)
+    /// Appends report `row` of `src` — same ε′ and |τ| as this batch,
+    /// which the first row fixes — **re-basing instead of refusing**
+    /// when its timestamp is below `base_t`: the base drops to the new
+    /// minimum and every stored delta shifts up, so interleaved windows
+    /// share one frame in any arrival order. Returns `false` without
+    /// modifying the batch when the key differs, the timestamp spread
+    /// no longer fits `u32` deltas, or the frame would pass
+    /// [`MAX_FRAME_LEN`] — the caller flushes and retries, which always
+    /// succeeds on an empty batch.
+    pub fn append_row(&mut self, src: &ReportBatch, row: &BatchRow) -> bool {
+        let t = src.t_of(row.index);
+        if self.is_empty() {
+            self.base_t = t;
+            self.eps_nano = src.eps_nano;
+            self.len = src.len;
+        } else if src.eps_nano != self.eps_nano
+            || src.len != self.len
+            || self.t_delta.len() >= u32::MAX as usize
+            || self.encoded_len()
+                + 16
+                + row.uni.len() * 6
+                + row.exact.len() * 6
+                + row.trans.len() * 8
+                > MAX_FRAME_LEN as usize
+        {
+            return false;
+        } else if t < self.base_t {
+            let shift = self.base_t - t;
+            let widest = self.t_delta.iter().copied().max().unwrap_or(0);
+            if shift + widest as u64 > u32::MAX as u64 {
+                return false;
+            }
+            for d in &mut self.t_delta {
+                *d += shift as u32;
+            }
+            self.base_t = t;
+        } else if t - self.base_t > u32::MAX as u64 {
+            return false;
+        }
+        self.t_delta.push((t - self.base_t) as u32);
+        self.n_uni.push(row.uni.len() as u32);
+        self.n_exact.push(row.exact.len() as u32);
+        self.n_trans.push(row.trans.len() as u32);
+        self.uni_pos
+            .extend_from_slice(&src.uni_pos[row.uni.clone()]);
+        self.uni_region
+            .extend_from_slice(&src.uni_region[row.uni.clone()]);
+        self.exact_pos
+            .extend_from_slice(&src.exact_pos[row.exact.clone()]);
+        self.exact_region
+            .extend_from_slice(&src.exact_region[row.exact.clone()]);
+        self.trans_tail
+            .extend_from_slice(&src.trans_tail[row.trans.clone()]);
+        self.trans_head
+            .extend_from_slice(&src.trans_head[row.trans.clone()]);
+        true
     }
 
-    /// Iterates the batch as allocated row-form [`Report`]s, in order.
-    pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
-        let mut u0 = 0usize;
-        let mut e0 = 0usize;
-        let mut t0 = 0usize;
-        (0..self.num_reports()).map(move |i| {
-            let r = self.report_from(i, u0, e0, t0);
-            u0 += self.n_uni[i] as usize;
-            e0 += self.n_exact[i] as usize;
-            t0 += self.n_trans[i] as usize;
-            r
+    /// Walks the batch once, yielding each report's extent in the
+    /// shared columns — the allocation-free way to visit every report.
+    pub fn rows(&self) -> impl Iterator<Item = BatchRow> + '_ {
+        let (mut u0, mut e0, mut t0) = (0usize, 0usize, 0usize);
+        (0..self.num_reports()).map(move |index| {
+            let row = BatchRow {
+                index,
+                uni: u0..u0 + self.n_uni[index] as usize,
+                exact: e0..e0 + self.n_exact[index] as usize,
+                trans: t0..t0 + self.n_trans[index] as usize,
+            };
+            (u0, e0, t0) = (row.uni.end, row.exact.end, row.trans.end);
+            row
         })
     }
 
-    fn report_from(&self, i: usize, u0: usize, e0: usize, t0: usize) -> Report {
-        let (nu, ne, nt) = (
-            self.n_uni[i] as usize,
-            self.n_exact[i] as usize,
-            self.n_trans[i] as usize,
-        );
-        let pair = |pos: &[u16], region: &[u32], at: usize, n: usize| {
-            pos[at..at + n]
-                .iter()
-                .zip(&region[at..at + n])
-                .map(|(&p, &r)| (p, r))
-                .collect()
-        };
-        Report {
-            t: self.t_of(i),
-            eps_prime: self.eps_nano as f64 / 1e9,
-            len: self.len,
-            unigrams: pair(&self.uni_pos, &self.uni_region, u0, nu),
-            exact: pair(&self.exact_pos, &self.exact_region, e0, ne),
-            transitions: self.trans_tail[t0..t0 + nt]
-                .iter()
-                .zip(&self.trans_head[t0..t0 + nt])
-                .map(|(&t, &h)| (t, h))
-                .collect(),
-        }
+    /// Iterates the batch as allocated row-form [`Report`]s, in order.
+    /// Cold paths only (WAL replay, tests); hot paths stay columnar.
+    pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
+        self.rows().map(|row| {
+            let pair = |pos: &[u16], region: &[u32]| {
+                pos.iter().zip(region).map(|(&p, &r)| (p, r)).collect()
+            };
+            Report {
+                t: self.t_of(row.index),
+                eps_prime: self.eps_nano as f64 / 1e9,
+                len: self.len,
+                unigrams: pair(&self.uni_pos[row.uni.clone()], &self.uni_region[row.uni]),
+                exact: pair(
+                    &self.exact_pos[row.exact.clone()],
+                    &self.exact_region[row.exact],
+                ),
+                transitions: self.trans_tail[row.trans.clone()]
+                    .iter()
+                    .zip(&self.trans_head[row.trans])
+                    .map(|(&t, &h)| (t, h))
+                    .collect(),
+            }
+        })
     }
 
     /// Batches `reports` wholesale; `None` if any report is not
@@ -294,76 +356,6 @@ impl ReportBatch {
     pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.encoded_len() as u32).to_le_bytes());
         self.encode_payload_into(out);
-    }
-
-    /// The frame's length prefix and fixed payload header as stack
-    /// arrays — the non-column bytes `write_frame_vectored` gathers.
-    fn frame_header(&self) -> ([u8; 4], [u8; Self::HEADER_LEN]) {
-        let mut h = [0u8; Self::HEADER_LEN];
-        h[0..4].copy_from_slice(&Self::MAGIC);
-        h[4..8].copy_from_slice(&(self.t_delta.len() as u32).to_le_bytes());
-        h[8..16].copy_from_slice(&self.base_t.to_le_bytes());
-        h[16..24].copy_from_slice(&self.eps_nano.to_le_bytes());
-        h[24..26].copy_from_slice(&self.len.to_le_bytes());
-        h[26..30].copy_from_slice(&(self.uni_pos.len() as u32).to_le_bytes());
-        h[30..34].copy_from_slice(&(self.exact_pos.len() as u32).to_le_bytes());
-        h[34..38].copy_from_slice(&(self.trans_tail.len() as u32).to_le_bytes());
-        ((self.encoded_len() as u32).to_le_bytes(), h)
-    }
-
-    /// Writes the length-prefixed `TSR4` frame as **one scatter-gather
-    /// write**: on little-endian targets the in-memory bytes of the
-    /// column vectors *are* the wire encoding, so the iovec list points
-    /// straight into column storage — prefix, header, ten columns, CRC —
-    /// and the assemble-into-a-contiguous-buffer copy disappears. The
-    /// CRC is chained across the segments with [`crc32_extend`], so the
-    /// bytes on the wire are identical to [`ReportBatch::encode_frame_into`]
-    /// (big-endian targets fall back to exactly that).
-    pub fn write_frame_vectored<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        #[cfg(target_endian = "little")]
-        {
-            use std::io::IoSlice;
-            let (prefix, header) = self.frame_header();
-            let cols: [&[u8]; 10] = [
-                u32s_as_bytes(&self.t_delta),
-                u32s_as_bytes(&self.n_uni),
-                u32s_as_bytes(&self.n_exact),
-                u32s_as_bytes(&self.n_trans),
-                u16s_as_bytes(&self.uni_pos),
-                u32s_as_bytes(&self.uni_region),
-                u16s_as_bytes(&self.exact_pos),
-                u32s_as_bytes(&self.exact_region),
-                u32s_as_bytes(&self.trans_tail),
-                u32s_as_bytes(&self.trans_head),
-            ];
-            let mut crc = crc32(&header);
-            for c in cols {
-                crc = crc32_extend(crc, c);
-            }
-            let crc_bytes = crc.to_le_bytes();
-            let mut io = [
-                IoSlice::new(&prefix),
-                IoSlice::new(&header),
-                IoSlice::new(cols[0]),
-                IoSlice::new(cols[1]),
-                IoSlice::new(cols[2]),
-                IoSlice::new(cols[3]),
-                IoSlice::new(cols[4]),
-                IoSlice::new(cols[5]),
-                IoSlice::new(cols[6]),
-                IoSlice::new(cols[7]),
-                IoSlice::new(cols[8]),
-                IoSlice::new(cols[9]),
-                IoSlice::new(&crc_bytes),
-            ];
-            trajshare_core::vio::write_all_vectored(w, &mut io)
-        }
-        #[cfg(target_endian = "big")]
-        {
-            let mut buf = Vec::with_capacity(4 + self.encoded_len());
-            self.encode_frame_into(&mut buf);
-            w.write_all(&buf)
-        }
     }
 
     /// Decodes a `TSR4` payload into this batch, reusing column
@@ -510,23 +502,6 @@ fn fill_u16(dst: &mut Vec<u16>, bytes: &[u8]) {
     );
 }
 
-/// Column storage viewed as wire bytes. Sound for any `#[repr(Rust)]`
-/// primitive-integer slice (no padding, every bit pattern valid); only
-/// *correct* as the wire encoding on little-endian targets, which is why
-/// every caller sits behind `#[cfg(target_endian = "little")]`.
-#[cfg(target_endian = "little")]
-fn u32s_as_bytes(vals: &[u32]) -> &[u8] {
-    // SAFETY: u32 has no padding bytes or invalid values, and the length
-    // in bytes cannot overflow because the slice already exists.
-    unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 4) }
-}
-
-#[cfg(target_endian = "little")]
-fn u16s_as_bytes(vals: &[u16]) -> &[u8] {
-    // SAFETY: as `u32s_as_bytes`.
-    unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 2) }
-}
-
 fn put_u32s(out: &mut Vec<u8>, vals: &[u32]) {
     let start = out.len();
     out.resize(start + vals.len() * 4, 0);
@@ -546,8 +521,9 @@ fn put_u16s(out: &mut Vec<u8>, vals: &[u16]) {
 /// Streams reports into length-prefixed `TSR4` frames, flushing a
 /// frame whenever the current batch reaches `max_reports` or the next
 /// report is not key-compatible (different ε′ or |τ|, or a timestamp
-/// delta that no longer fits). The shared codec for the client's
-/// batched sender and the router's uplink re-framing.
+/// delta that no longer fits). The client's batched sender; the router
+/// re-frames with [`ReportBatch::append_row`] instead, which re-bases
+/// rather than flushing on an earlier timestamp.
 #[derive(Debug)]
 pub struct BatchEncoder {
     batch: ReportBatch,
@@ -581,39 +557,6 @@ impl BatchEncoder {
             self.batch.encode_frame_into(out);
             self.batch.clear();
         }
-    }
-
-    /// Adds `report`, writing any completed frame straight to `w` with
-    /// [`ReportBatch::write_frame_vectored`] — the zero-copy sibling of
-    /// [`BatchEncoder::push`] for callers holding a socket. Returns
-    /// whether a frame was written (at most one per call), so callers
-    /// can interleave ack draining with frame writes.
-    pub fn push_to<W: std::io::Write>(
-        &mut self,
-        report: &Report,
-        w: &mut W,
-    ) -> std::io::Result<bool> {
-        let mut wrote = false;
-        if self.batch.num_reports() >= self.max_reports {
-            wrote |= self.flush_to(w)?;
-        }
-        if !self.batch.try_push(report) {
-            wrote |= self.flush_to(w)?;
-            let pushed = self.batch.try_push(report);
-            debug_assert!(pushed, "a report always fits an empty batch");
-        }
-        Ok(wrote)
-    }
-
-    /// Writes the in-progress frame (if any) to `w`; returns whether a
-    /// frame went out.
-    pub fn flush_to<W: std::io::Write>(&mut self, w: &mut W) -> std::io::Result<bool> {
-        if self.batch.is_empty() {
-            return Ok(false);
-        }
-        self.batch.write_frame_vectored(w)?;
-        self.batch.clear();
-        Ok(true)
     }
 }
 
@@ -653,9 +596,6 @@ mod tests {
         assert_eq!(decoded, batch);
         let back: Vec<Report> = decoded.reports().collect();
         assert_eq!(back, reports);
-        for (i, want) in reports.iter().enumerate() {
-            assert_eq!(&decoded.report_at(i), want);
-        }
     }
 
     #[test]
@@ -802,7 +742,7 @@ mod tests {
         let mut scratch = ReportBatch::new();
         scratch.decode_payload_into(&payload).unwrap();
         assert_eq!(scratch.max_t(), u64::MAX);
-        assert_eq!(scratch.report_at(0).t, u64::MAX);
+        assert_eq!(scratch.reports().next().unwrap().t, u64::MAX);
     }
 
     #[test]
@@ -853,42 +793,83 @@ mod tests {
     }
 
     #[test]
-    fn vectored_frame_writer_is_byte_identical_to_encode() {
-        // Batches of several shapes, including empty column classes and
-        // non-lane-multiple column lengths.
-        for (n, len, seed) in [(1usize, 1u16, 9u32), (3, 5, 1), (17, 2, 4), (64, 7, 0)] {
-            let reports: Vec<Report> = (0..n)
-                .map(|i| toy_report(i as u64, 0.5, len, seed + i as u32))
-                .collect();
-            let batch = ReportBatch::from_reports(&reports).unwrap();
-            let mut want = Vec::new();
-            batch.encode_frame_into(&mut want);
-            let mut got = Vec::new();
-            batch.write_frame_vectored(&mut got).unwrap();
-            assert_eq!(got, want, "n={n} len={len}");
+    fn append_row_rebases_instead_of_refusing_earlier_timestamps() {
+        // Eight interleaved windows in arrival order: `try_push` would
+        // refuse every report below the first one's timestamp.
+        let reports: Vec<Report> = (0..64u32)
+            .map(|i| toy_report(70 - u64::from(i * 37 % 8) * 10, 1.0, 3, i))
+            .collect();
+        let mut staged = ReportBatch::new();
+        for r in &reports {
+            let one = ReportBatch::from_reports(std::slice::from_ref(r)).unwrap();
+            let row = one.rows().next().unwrap();
+            assert!(staged.append_row(&one, &row));
         }
+        assert_eq!(staged.base_t, 0, "the base is the minimum timestamp");
+        assert_eq!(staged.num_reports(), reports.len());
+        // Same reports, same order, through the wire.
+        let mut decoded = ReportBatch::new();
+        decoded
+            .decode_payload_into(&staged.encode_payload())
+            .unwrap();
+        assert_eq!(decoded.reports().collect::<Vec<_>>(), reports);
+
+        // A multi-row source appends row by row, from its own offsets.
+        assert!(
+            ReportBatch::from_reports(&reports[..8]).is_none(),
+            "try_push refuses the same interleaving"
+        );
+        let mut sorted = reports[..8].to_vec();
+        sorted.sort_by_key(|r| r.t);
+        let src = ReportBatch::from_reports(&sorted).unwrap();
+        let mut copy = ReportBatch::new();
+        for row in src.rows().collect::<Vec<_>>().iter().rev() {
+            assert!(copy.append_row(&src, row));
+        }
+        sorted.reverse();
+        assert_eq!(copy.reports().collect::<Vec<_>>(), sorted);
     }
 
     #[test]
-    fn push_to_streams_the_same_bytes_as_push() {
-        let reports: Vec<Report> = (0..40)
-            .map(|i| toy_report(i, if i % 2 == 0 { 0.5 } else { 0.25 }, 3, i as u32))
-            .collect();
-        let mut want = Vec::new();
-        let mut enc = BatchEncoder::new(8);
-        for r in &reports {
-            enc.push(r, &mut want);
-        }
-        enc.flush(&mut want);
-        let mut got = Vec::new();
-        let mut enc = BatchEncoder::new(8);
-        let mut frames = 0;
-        for r in &reports {
-            frames += enc.push_to(r, &mut got).unwrap() as usize;
-        }
-        frames += enc.flush_to(&mut got).unwrap() as usize;
-        assert_eq!(got, want);
-        assert!(frames > 1, "the alternating keys must have split frames");
+    fn append_row_refuses_what_one_frame_cannot_hold() {
+        let one = |r: Report| ReportBatch::from_reports(&[r]).unwrap();
+        let push = |dst: &mut ReportBatch, src: &ReportBatch| {
+            let before = dst.clone();
+            let ok = dst.append_row(src, &src.rows().next().unwrap());
+            if !ok {
+                assert_eq!(*dst, before, "a refusal leaves the batch untouched");
+            }
+            ok
+        };
+        let mut staged = ReportBatch::new();
+        assert!(push(&mut staged, &one(toy_report(1 << 33, 1.0, 3, 0))));
+        assert!(push(
+            &mut staged,
+            &one(toy_report((1 << 33) + 5, 1.0, 3, 1))
+        ));
+        // Different ε′ / |τ|.
+        assert!(!push(&mut staged, &one(toy_report(1 << 33, 2.0, 3, 2))));
+        assert!(!push(&mut staged, &one(toy_report(1 << 33, 1.0, 4, 2))));
+        // Later than `u32` deltas reach, and earlier than a re-base can
+        // carry the stored deltas (5 + shift > u32::MAX).
+        assert!(!push(&mut staged, &one(toy_report(1 << 34, 1.0, 3, 2))));
+        assert!(!push(
+            &mut staged,
+            &one(toy_report((1 << 33) - u64::from(u32::MAX), 1.0, 3, 2))
+        ));
+        // The widest re-base that still fits is taken.
+        assert!(push(
+            &mut staged,
+            &one(toy_report((1 << 33) + 5 - u64::from(u32::MAX), 1.0, 3, 2))
+        ));
+        assert_eq!(staged.t_delta, vec![u32::MAX - 5, u32::MAX, 0]);
+        // A hostile saturating timestamp is carried as its saturated value.
+        let mut hostile = one(toy_report(0, 1.0, 3, 3));
+        hostile.base_t = u64::MAX - 1;
+        hostile.t_delta[0] = 1000;
+        let mut fresh = ReportBatch::new();
+        assert!(push(&mut fresh, &hostile));
+        assert_eq!(fresh.max_t(), u64::MAX);
     }
 
     #[test]

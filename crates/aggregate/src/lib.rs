@@ -69,7 +69,7 @@ pub mod snapshot;
 pub mod stream;
 pub mod synthesize;
 
-pub use batch::{BatchEncoder, ReportBatch};
+pub use batch::{BatchEncoder, BatchRow, ReportBatch};
 pub use budget::{
     count_divergence, eps_to_nano, l1_divergence, nano_to_eps, significance_divergence,
     window_divergence, AllocationPolicy, GrantRecord, WindowBudgetAccountant, WindowBudgetConfig,

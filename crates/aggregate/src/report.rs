@@ -221,6 +221,12 @@ impl Report {
     /// Compact little-endian binary encoding (always the v3 layout).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the [`Report::encode`] bytes to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&Self::MAGIC);
         out.extend_from_slice(&self.t.to_le_bytes());
         out.extend_from_slice(&self.eps_nano().to_le_bytes());
@@ -236,7 +242,6 @@ impl Report {
             out.extend_from_slice(&a.to_le_bytes());
             out.extend_from_slice(&b.to_le_bytes());
         }
-        out
     }
 
     /// The length-prefixed wire frame the ingestion service speaks:
@@ -247,11 +252,13 @@ impl Report {
         out
     }
 
-    /// Appends the length-prefixed frame to `out` (client batching).
+    /// Appends the length-prefixed frame to `out` (client batching):
+    /// encoded in place, so a reused buffer sees no allocation.
     pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
-        let payload = self.encode();
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let len = self.encoded_len();
+        out.reserve(4 + len);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        self.encode_into(out);
     }
 
     /// Decodes [`Report::encode`] output. The buffer must hold exactly one
@@ -888,6 +895,38 @@ mod tests {
         }
 
         #[test]
+        fn encode_frame_into_appends_exactly_encode_frame(
+            t in 0u64..=u64::MAX,
+            nano in 0u64..64_000_000_000u64,
+            len in 0u16..=u16::MAX,
+            unigrams in proptest::collection::vec((0u16..=u16::MAX, 0u32..=u32::MAX), 0..12),
+            exact in proptest::collection::vec((0u16..=u16::MAX, 0u32..=u32::MAX), 0..4),
+            transitions in proptest::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 0..12),
+        ) {
+            let r = Report {
+                t,
+                eps_prime: nano as f64 / 1e9,
+                len,
+                unigrams,
+                exact,
+                transitions,
+            };
+            // The frame is the length prefix plus `encode()`, whichever
+            // entry point built it.
+            let payload = r.encode();
+            prop_assert_eq!(payload.len(), r.encoded_len());
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&payload);
+            prop_assert_eq!(&r.encode_frame(), &frame);
+            // Appended to a reused, non-empty buffer: earlier bytes stay,
+            // the new bytes are the frame.
+            let mut out = vec![0xA5u8; 7];
+            r.encode_frame_into(&mut out);
+            prop_assert_eq!(&out[..7], &[0xA5u8; 7][..]);
+            prop_assert_eq!(&out[7..], &frame[..]);
+        }
+
+        #[test]
         fn quantized_eps_survives_any_number_of_roundtrips(
             nano in 1u64..64_000_000_000u64,
         ) {
@@ -905,6 +944,36 @@ mod tests {
             let twice = Report::decode(&once.encode()).unwrap();
             prop_assert_eq!(&twice, &once);
         }
+    }
+
+    #[test]
+    fn encode_frame_into_reuses_the_buffer_byte_for_byte() {
+        let reports = [
+            Report::from_region_point(RegionId(3), 1.0).at(42),
+            Report {
+                t: 86_400,
+                eps_prime: 0.625,
+                len: 3,
+                unigrams: vec![(0, 5), (1, 2), (2, 9)],
+                exact: vec![(0, 5), (2, 9)],
+                transitions: vec![(5, 2), (2, 9)],
+            },
+        ];
+        let mut want = Vec::new();
+        let mut got = Vec::new();
+        for r in &reports {
+            want.extend_from_slice(&r.encode_frame());
+            r.encode_frame_into(&mut got);
+        }
+        assert_eq!(got, want);
+        // A buffer already at working size is written in place.
+        let cap = got.capacity();
+        got.clear();
+        for r in &reports {
+            r.encode_frame_into(&mut got);
+        }
+        assert_eq!(got, want);
+        assert_eq!(got.capacity(), cap, "no reallocation on reuse");
     }
 
     #[test]

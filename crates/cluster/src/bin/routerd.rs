@@ -372,7 +372,7 @@ fn main() {
             let stats = handle.stats();
             let up = handle.workers_up();
             println!(
-                "router routed={} failed={} rerouted={} worker_down={} accepted={} completed={} refused={} proto_err={} io_err={} up=[{}]",
+                "router routed={} failed={} rerouted={} worker_down={} accepted={} completed={} refused={} proto_err={} io_err={} up=[{}] frames={} writes={} connects={}",
                 stats.cluster_routed.load(std::sync::atomic::Ordering::Relaxed),
                 stats.routed_failed.load(std::sync::atomic::Ordering::Relaxed),
                 stats.rerouted_batches.load(std::sync::atomic::Ordering::Relaxed),
@@ -388,6 +388,9 @@ fn main() {
                     .map(|&b| if b { "1" } else { "0" })
                     .collect::<Vec<_>>()
                     .join(" "),
+                stats.uplink_frames.load(std::sync::atomic::Ordering::Relaxed),
+                stats.uplink_writes.load(std::sync::atomic::Ordering::Relaxed),
+                stats.uplink_connects.load(std::sync::atomic::Ordering::Relaxed),
             );
         }
     }

@@ -17,7 +17,7 @@
 //! report's single region for one-point reports, so the sparse
 //! single-check-in traffic of one region co-locates on one worker.
 
-use trajshare_aggregate::Report;
+use trajshare_aggregate::{BatchRow, Report, ReportBatch};
 
 /// Splitmix64 finalizer — the workspace's deterministic mixing idiom
 /// (`loadgen`, `user_seed`).
@@ -29,12 +29,14 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over a byte slice, 64-bit — cheap, allocation-free, and good
-/// enough for load spreading (adversarial collisions only let a client
-/// self-concentrate its *own* reports, which plain TCP already allows).
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a over a byte slice, 64-bit, continued from state `h` — cheap,
+/// allocation-free, and good enough for load spreading (adversarial
+/// collisions only let a client self-concentrate its *own* reports,
+/// which plain TCP already allows).
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -42,21 +44,66 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Region-affine key: every one-point report for region `r` shares it
+/// regardless of its ε′ or timestamp.
+#[inline]
+fn region_key(r: u32) -> u64 {
+    mix64(0x5265_6769_6F6E_0000 ^ r as u64)
+}
+
 /// The routing key of one report: content hash (user-key proxy), or the
 /// region id for single-point reports. `payload` is the report's exact
 /// wire payload (already validated by decode), so the hash costs one
 /// pass over bytes the router just read.
 pub fn report_key(report: &Report, payload: &[u8]) -> u64 {
-    let single_region = match report.unigrams.as_slice() {
-        [(_, r)] => Some(*r),
-        _ => None,
-    };
-    match single_region {
-        // Region-affine fallback: every one-point report for region r
-        // shares a key regardless of its ε′ or timestamp.
-        Some(r) => mix64(0x5265_6769_6F6E_0000 ^ r as u64),
-        None => fnv1a(payload),
+    match report.unigrams.as_slice() {
+        [(_, r)] => region_key(*r),
+        _ => fnv1a(FNV_OFFSET, payload),
     }
+}
+
+/// [`report_key`] of row `row` of `batch`, computed straight from the
+/// columns: the hash walks the fields in [`Report::encode`] order, so
+/// it equals `report_key(&r, &r.encode())` for the same report without
+/// building the `Report` or its bytes — a report's home worker does not
+/// depend on how it was framed.
+pub fn column_key(batch: &ReportBatch, row: &BatchRow) -> u64 {
+    if row.uni.len() == 1 {
+        return region_key(batch.uni_region[row.uni.start]);
+    }
+    let mut h = fnv1a(FNV_OFFSET, &Report::MAGIC);
+    h = fnv1a(h, &batch.t_of(row.index).to_le_bytes());
+    h = fnv1a(h, &batch.eps_nano.to_le_bytes());
+    h = fnv1a(h, &batch.len.to_le_bytes());
+    for n in [row.uni.len(), row.exact.len(), row.trans.len()] {
+        h = fnv1a(h, &(n as u32).to_le_bytes());
+    }
+    let pairs = |mut h: u64, pos: &[u16], region: &[u32]| {
+        for (p, r) in pos.iter().zip(region) {
+            h = fnv1a(h, &p.to_le_bytes());
+            h = fnv1a(h, &r.to_le_bytes());
+        }
+        h
+    };
+    h = pairs(
+        h,
+        &batch.uni_pos[row.uni.clone()],
+        &batch.uni_region[row.uni.clone()],
+    );
+    h = pairs(
+        h,
+        &batch.exact_pos[row.exact.clone()],
+        &batch.exact_region[row.exact.clone()],
+    );
+    let (tails, heads) = (
+        &batch.trans_tail[row.trans.clone()],
+        &batch.trans_head[row.trans.clone()],
+    );
+    for (a, b) in tails.iter().zip(heads) {
+        h = fnv1a(h, &a.to_le_bytes());
+        h = fnv1a(h, &b.to_le_bytes());
+    }
+    h
 }
 
 /// A consistent-hash ring over `num_workers` workers with `vnodes`
@@ -175,5 +222,52 @@ mod tests {
         d.unigrams[1].1 = 10;
         d.exact[1].1 = 10;
         assert_ne!(report_key(&c, &c.encode()), report_key(&d, &d.encode()));
+    }
+
+    proptest::proptest! {
+        /// The column key is `report_key` of the same report, at any row
+        /// offset, including the one-unigram region-affine case.
+        #[test]
+        fn column_key_equals_report_key(
+            t in 0u64..=u64::MAX,
+            nano in 0u64..64_000_000_000u64,
+            len in 0u16..=u16::MAX,
+            rows in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u16..=u16::MAX, 0u32..=u32::MAX), 0..6),
+                    proptest::collection::vec((0u16..=u16::MAX, 0u32..=u32::MAX), 0..3),
+                    proptest::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 0..6),
+                    0u32..=u32::MAX,
+                ),
+                1..5,
+            ),
+        ) {
+            // The first row fixes `base_t`; later rows sit at or after it.
+            let reports: Vec<Report> = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (unigrams, exact, transitions, dt))| Report {
+                    t: t.saturating_add(if i == 0 { 0 } else { dt as u64 }),
+                    eps_prime: nano as f64 / 1e9,
+                    len,
+                    unigrams,
+                    exact,
+                    transitions,
+                })
+                .collect();
+            let batch = ReportBatch::from_reports(&reports).expect("one key, deltas fit");
+            for (row, r) in batch.rows().zip(&reports) {
+                proptest::prop_assert_eq!(column_key(&batch, &row), report_key(r, &r.encode()));
+            }
+            let point = Report {
+                unigrams: vec![(0, nano as u32)],
+                exact: vec![(0, nano as u32)],
+                transitions: vec![],
+                ..reports[0].clone()
+            };
+            let batch = ReportBatch::from_reports(std::slice::from_ref(&point)).unwrap();
+            let row = batch.rows().next().unwrap();
+            proptest::prop_assert_eq!(column_key(&batch, &row), report_key(&point, &point.encode()));
+        }
     }
 }

@@ -18,14 +18,16 @@
 //!   live worker.
 //! * [`router`] — `routerd`'s front door: accepts the existing
 //!   single-report client protocol unchanged plus `TSR4` batch frames,
-//!   routes each report to its worker over per-worker bounded queues
+//!   scatters each report's columns to its worker's staging batch,
+//!   queues the re-packed `TSR4` frames on per-worker bounded queues
 //!   (backpressure by shedding, exactly like `ingestd`'s accept
-//!   queue), re-frames uplink writes as `TSR4` batches, reconnects
-//!   with backoff, and acks clients only with worker-confirmed durable
-//!   counts. A batch whose write already started is **never retried**
-//!   (the worker keeps everything it ingested before a failure, so a
-//!   retry would double-count; the affected reports simply go un-acked
-//!   and the client re-sends under its own policy).
+//!   queue), streams them over one persistent pipelined connection per
+//!   worker, reconnects with backoff, and acks clients only with
+//!   worker-confirmed durable counts. A frame whose write already
+//!   started is **never written again** (the worker keeps everything
+//!   it ingested before a failure, so a resend would double-count; the
+//!   affected reports simply go un-acked and the client re-sends under
+//!   its own policy).
 //! * [`coord`] — the coordinator: periodically pulls every worker's
 //!   counter + ring state over the `TSCL` snapshot-shipping protocol
 //!   (`trajshare_aggregate::clusterproto`), folds the latest full
@@ -46,5 +48,5 @@ pub mod router;
 pub use coord::{
     pull_snapshot, snapshot_fingerprint, ClusterView, CoordConfig, Coordinator, WorkerStatus,
 };
-pub use hash::{report_key, HashRing};
+pub use hash::{column_key, report_key, HashRing};
 pub use router::{Router, RouterConfig, RouterHandle, RouterStats};

@@ -1,25 +1,41 @@
-//! `routerd`'s front door: TSR2/TSR3/TSR4 in, batched per-worker
-//! uplinks out.
+//! `routerd`'s front door: TSR2/TSR3/TSR4 in, re-packed `TSR4` frames
+//! out over persistent, pipelined per-worker uplinks.
 //!
 //! ```text
-//!            ┌──────────┐ conn queue ┌─────────────┐ per-worker  ┌─────────┐
-//!  clients ─▶│ acceptor │──(bounded)▶│ client      │──(bounded)─▶│ uplink  │──▶ ingestd w
-//!            └──────────┘  full ⇒    │ handlers    │  report     │ threads │    (TSR4)
-//!                          refuse    │ (route by   │  queues     └─────────┘
-//!                                    │  hash ring) │  full ⇒ shed
-//!                                    └─────────────┘
+//!            ┌──────────┐ conn queue ┌──────────────┐ per-worker ┌─────────┐ one open
+//!  clients ─▶│ acceptor │──(bounded)▶│ client       │─(bounded)─▶│ uplink  │═conn═══▶ ingestd w
+//!            └──────────┘  full ⇒    │ handlers     │  frame     │ threads │◀─ cumulative
+//!                          refuse    │ scatter rows │  queues    └─────────┘   acks
+//!                                    │ by hash ring,│  full ⇒ shed
+//!                                    │ encode TSR4  │
+//!                                    └──────────────┘
 //! ```
 //!
 //! Clients speak the unchanged single-node protocol: stream
 //! `Report::encode_frame` frames (or `TSR4` batch frames), half-close,
 //! read `u64` acks — the last one is the durable total. The router
-//! validates each frame, picks each report's worker by consistent hash,
-//! and enqueues it on that worker's bounded queue; uplink threads drain
-//! the queues in batches, each batch re-framed as `TSR4` batch frames
-//! and shipped over one fresh worker connection (the worker's ack
-//! protocol is stream-to-EOF, last ack wins), and worker acks propagate
-//! back to the originating client connections in batch order. A
-//! client's ack therefore certifies exactly what the single-node ack
+//! routes **frames, not reports**. A client handler decodes each frame
+//! into column scratch, computes every report's placement key straight
+//! from the columns ([`column_key`] — no `Report`, no re-encode) and
+//! appends the row to a per-connection staging batch per
+//! (worker, ε′, |τ|); a single-report frame is a batch of one on the
+//! same path. Staging re-bases timestamps instead of splitting on an
+//! earlier one, so interleaved windows and lengths still pack. At the
+//! end of each read round (or at `batch_max` reports) every non-empty
+//! staging batch is encoded once into a pooled buffer and queued to its
+//! worker's uplink as one item: frame bytes, report count, and the
+//! connection's tally.
+//!
+//! Each uplink keeps **one connection open while it has work**. It
+//! gathers everything queued into as few vectored writes as the
+//! iovec/byte caps allow, never waits for an ack before the next write,
+//! and settles a FIFO of in-flight frames from the worker's cumulative
+//! acks (the worker writes one per drained read round). With nothing
+//! queued for [`IDLE_CLOSE`] it half-closes, reads the final ack and
+//! reconnects lazily on the next frame, so an idle router holds no
+//! worker thread and trips no worker read timeout. Worker acks
+//! propagate back to the originating client connections in write order.
+//! A client's ack therefore certifies exactly what the single-node ack
 //! certifies: that many reports validated, logged, and flushed by a
 //! worker.
 //!
@@ -27,35 +43,59 @@
 //! *cumulative* acks opportunistically mid-stream (written between
 //! reads, whenever more of its reports have settled durable), so a
 //! batching client that loses the router mid-upload still holds a
-//! worker-certified floor — a crash costs it the in-flight batches, not
+//! worker-certified floor — a crash costs it the in-flight frames, not
 //! the whole connection's progress. Connections that only ever send
 //! single-report frames see the classic wire exchange, byte for byte:
 //! one ack at EOF.
 //!
 //! **Failure semantics — the double-count rule.** A worker keeps every
 //! report it ingested from a stream that later failed (each frame is an
-//! independent LDP message), so the router must never resend a batch
-//! whose write already started — those reports are simply reported
-//! un-acked ([`RouterStats::routed_failed`]) and the client decides, as
-//! it would against a single node. Only *connecting* retries: with
+//! independent LDP message), so the router must never resend a frame
+//! whose write already started. The rule is per uplink connection:
+//! when a connection fails, every frame written on it and not yet
+//! covered by a cumulative ack is reported un-acked
+//! ([`RouterStats::routed_failed`]) and the client decides, as it would
+//! against a single node. Frames still queued were never written and go
+//! out on the next connection. Only *connecting* retries: with
 //! exponential backoff on the home worker, then failover to the next
 //! live worker on the ring — placement is a balance decision, not a
 //! correctness one, because the cluster merge is exact under any
 //! partition.
 
-use crate::hash::{report_key, HashRing};
-use crossbeam::channel::{self, RecvTimeoutError, TrySendError};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use crate::hash::{column_key, HashRing};
+use crossbeam::channel::{self, RecvTimeoutError, SendTimeoutError, TryRecvError, TrySendError};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{IoSlice, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trajshare_aggregate::grant;
 use trajshare_aggregate::{
-    BatchEncoder, GrantBoard, GrantFrame, GrantSubscriber, Report, ReportBatch, StreamDecoder,
-    WireFrame,
+    GrantBoard, GrantFrame, GrantSubscriber, ReportBatch, StreamDecoder, WireFrame,
 };
+use trajshare_core::vio;
+
+/// How long an uplink with nothing queued keeps its worker connection
+/// before half-closing it (also the wait for an overdue ack before the
+/// connection is cycled). Far below any worker `read_timeout`, so an
+/// idle router never holds a worker thread.
+const IDLE_CLOSE: Duration = Duration::from_millis(20);
+
+/// Written-but-unacked bytes one uplink allows before it stops writing
+/// and waits for acks: a stalled worker back-pressures through the
+/// queue instead of growing router memory.
+const MAX_IN_FLIGHT_BYTES: usize = 2 << 20;
+
+/// Caps of one vectored uplink write (`IOV_MAX` is 1024 on Linux).
+const MAX_WRITE_FRAMES: usize = 1024;
+const MAX_WRITE_BYTES: usize = 256 * 1024;
+
+/// Distinct (ε′, |τ|) staging keys a connection keeps column capacity
+/// for between read rounds; past it (hostile key churn) the staging map
+/// is dropped and rebuilt.
+const MAX_STAGING_KEYS: usize = 64;
 
 /// Router deployment shape.
 #[derive(Debug, Clone)]
@@ -68,26 +108,28 @@ pub struct RouterConfig {
     pub client_threads: usize,
     /// Pending-connection queue depth; full ⇒ connections refused.
     pub conn_queue_depth: usize,
-    /// Per-worker routed-report queue depth; full past
-    /// `enqueue_timeout` ⇒ the report is shed (un-acked).
+    /// Bound on *reports* queued per worker: the uplink queue admits
+    /// `worker_queue_depth / batch_max` frames (at least one) of at most
+    /// `batch_max` reports each; full past `enqueue_timeout` ⇒ the
+    /// frame is shed (un-acked).
     pub worker_queue_depth: usize,
-    /// Max reports per uplink batch (= per worker connection).
+    /// Max reports per uplink frame.
     pub batch_max: usize,
-    /// How long an uplink waits to top up a non-full batch.
-    pub linger: Duration,
     /// How long a client handler waits for queue room before shedding.
     pub enqueue_timeout: Duration,
     /// How long a client connection waits at EOF for its routed
     /// reports' worker acks before acking what it has.
     pub ack_timeout: Duration,
-    /// Socket read timeout (client reads and uplink ack reads).
+    /// Socket read timeout (client reads and an uplink's final ack
+    /// read).
     pub read_timeout: Duration,
     /// Uplink reconnect backoff: first retry delay, doubling per
     /// failure up to `reconnect_backoff_max`.
     pub reconnect_backoff: Duration,
-    /// Backoff ceiling.
+    /// Backoff ceiling; also how long an uplink stays on a failover
+    /// worker before it probes its home worker again.
     pub reconnect_backoff_max: Duration,
-    /// Connect attempts per candidate worker per batch (1 when the
+    /// Connect attempts per candidate worker per connection (1 when the
     /// worker is already marked down — fast failover).
     pub connect_attempts: u32,
     /// Virtual nodes per worker on the hash ring.
@@ -112,7 +154,6 @@ impl RouterConfig {
             conn_queue_depth: 64,
             worker_queue_depth: 8192,
             batch_max: 512,
-            linger: Duration::from_millis(5),
             enqueue_timeout: Duration::from_secs(2),
             ack_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(30),
@@ -143,12 +184,19 @@ pub struct RouterStats {
     /// Reports shed (queue full) or lost to an uplink failure —
     /// un-acked toward their clients, never silently retried.
     pub routed_failed: AtomicU64,
-    /// Batches failed over to a non-home worker because the home
+    /// Uplink frames written to a non-home worker because the home
     /// worker was unreachable.
     pub rerouted_batches: AtomicU64,
     /// Uplink connect failures (each marks the worker down until a
     /// connect succeeds again).
     pub worker_down: AtomicU64,
+    /// `TSR4` frames written to workers (`cluster_routed / uplink_frames`
+    /// is the re-packing ratio).
+    pub uplink_frames: AtomicU64,
+    /// Vectored writes those frames left in.
+    pub uplink_writes: AtomicU64,
+    /// Worker connections opened.
+    pub uplink_connects: AtomicU64,
 }
 
 impl RouterStats {
@@ -157,23 +205,102 @@ impl RouterStats {
     }
 }
 
-/// Per-client-connection ack bookkeeping, shared with every batch that
-/// carries one of the connection's reports.
+/// Per-client-connection ack bookkeeping, shared with every uplink
+/// frame that carries one of the connection's reports.
 #[derive(Debug, Default)]
 struct ConnTally {
-    /// Reports worker-acked durable.
-    acked: AtomicU64,
-    /// Reports whose fate is decided (acked or failed).
-    done: AtomicU64,
+    state: Mutex<TallyState>,
+    /// Wakes the handler's EOF wait; notified only while it waits.
+    settled: Condvar,
 }
 
-/// One report in flight to a worker: the validated report plus the
-/// originating connection's tally. The uplink re-frames queue drains as
-/// `TSR4` batch frames, so the queue carries decoded reports, not wire
-/// bytes.
-struct RoutedReport {
-    report: Report,
+#[derive(Debug, Default)]
+struct TallyState {
+    /// Reports worker-acked durable.
+    acked: u64,
+    /// Reports whose fate is decided (acked or failed).
+    done: u64,
+    /// The handler is parked in [`ConnTally::wait_done`].
+    waiting: bool,
+}
+
+impl ConnTally {
+    fn lock(&self) -> std::sync::MutexGuard<'_, TallyState> {
+        self.state.lock().expect("tally updates cannot panic")
+    }
+
+    /// Records the fate of `acked + failed` of the connection's reports.
+    fn settle(&self, acked: u64, failed: u64) {
+        let mut st = self.lock();
+        st.acked += acked;
+        st.done += acked + failed;
+        if st.waiting {
+            self.settled.notify_one();
+        }
+    }
+
+    fn acked(&self) -> u64 {
+        self.lock().acked
+    }
+
+    /// Parks until `sent` reports are settled, `deadline` passes or
+    /// `stop` is raised (noticed within 50 ms — nothing notifies on
+    /// shutdown); returns the acked count.
+    fn wait_done(&self, sent: u64, deadline: Instant, stop: &AtomicBool) -> u64 {
+        let mut st = self.lock();
+        st.waiting = true;
+        while st.done < sent && !stop.load(Ordering::SeqCst) {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            let wait = (deadline - now).min(Duration::from_millis(50));
+            st = self
+                .settled
+                .wait_timeout(st, wait)
+                .expect("tally updates cannot panic")
+                .0;
+        }
+        st.waiting = false;
+        st.acked
+    }
+}
+
+/// One re-packed `TSR4` frame on its way to a worker: the queue element.
+struct UplinkFrame {
+    /// The length-prefixed frame, in a [`BufPool`] buffer.
+    bytes: Vec<u8>,
+    /// Reports it carries.
+    reports: u64,
+    /// The originating connection's tally.
     tally: Arc<ConnTally>,
+}
+
+/// Frame buffers cycle handler → queue → uplink → back here, so the
+/// steady state encodes into already-grown storage.
+#[derive(Default)]
+struct BufPool(Mutex<Vec<Vec<u8>>>);
+
+impl BufPool {
+    /// Buffers kept, and the largest capacity worth keeping (a hostile
+    /// 16 MiB frame must not pin 16 MiB per slot).
+    const KEEP: usize = 256;
+    const KEEP_CAPACITY: usize = 1 << 20;
+
+    fn take(&self) -> Vec<u8> {
+        let mut pool = self.0.lock().expect("pool updates cannot panic");
+        pool.pop().unwrap_or_default()
+    }
+
+    fn give(&self, bufs: impl Iterator<Item = Vec<u8>>) {
+        let mut pool = self.0.lock().expect("pool updates cannot panic");
+        for mut buf in bufs {
+            if pool.len() < Self::KEEP && buf.capacity() <= Self::KEEP_CAPACITY {
+                buf.clear();
+                pool.push(buf);
+            }
+        }
+    }
 }
 
 /// Marker type for [`Router::start`].
@@ -196,7 +323,6 @@ impl Router {
     pub fn start(config: RouterConfig) -> std::io::Result<RouterHandle> {
         assert!(!config.workers.is_empty(), "need at least one worker");
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let stats = Arc::new(RouterStats::default());
@@ -209,6 +335,7 @@ impl Router {
                 .collect(),
         );
         let ring = Arc::new(HashRing::new(config.workers.len(), config.vnodes));
+        let pool = Arc::new(BufPool::default());
         // The grant board: subscribed client connections hang off it;
         // routerd's tick loop feeds it the coordinator's allocation
         // through [`RouterHandle::announce_grant`].
@@ -216,16 +343,22 @@ impl Router {
 
         let mut threads = Vec::new();
         let mut uplink_txs = Vec::with_capacity(config.workers.len());
-        for (w, &worker_addr) in config.workers.iter().enumerate() {
-            let (tx, rx) = channel::bounded::<RoutedReport>(config.worker_queue_depth.max(1));
+        // Frames of at most `batch_max` reports: this many of them keep
+        // the queued report total within `worker_queue_depth`.
+        let queue_frames = (config.worker_queue_depth / config.batch_max.max(1)).max(1);
+        for home in 0..config.workers.len() {
+            let (tx, rx) = channel::bounded::<UplinkFrame>(queue_frames);
             uplink_txs.push(tx);
-            let cfg = config.clone();
-            let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
-            let workers_up = Arc::clone(&workers_up);
-            threads.push(std::thread::spawn(move || {
-                uplink_loop(w, worker_addr, rx, cfg, stats, stop, workers_up)
-            }));
+            let uplink = Uplink {
+                home,
+                rx,
+                pool: Arc::clone(&pool),
+                config: config.clone(),
+                stats: Arc::clone(&stats),
+                stop: Arc::clone(&stop),
+                workers_up: Arc::clone(&workers_up),
+            };
+            threads.push(std::thread::spawn(move || uplink.run()));
         }
 
         let (conn_tx, conn_rx) = channel::bounded::<TcpStream>(config.conn_queue_depth.max(1));
@@ -233,12 +366,13 @@ impl Router {
             let rx = conn_rx.clone();
             let txs = uplink_txs.clone();
             let ring = Arc::clone(&ring);
+            let pool = Arc::clone(&pool);
             let cfg = config.clone();
             let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
             let board = board.clone();
             threads.push(std::thread::spawn(move || {
-                client_loop(rx, txs, ring, cfg, stats, stop, board)
+                client_loop(rx, txs, ring, pool, cfg, stats, stop, board)
             }));
         }
         drop(conn_rx);
@@ -301,7 +435,24 @@ impl RouterHandle {
 
     /// Stops accepting, drains the uplink queues, joins all threads.
     pub fn shutdown(mut self) {
+        self.stop_threads();
+    }
+
+    fn stop_threads(&mut self) {
+        if self.threads.is_empty() {
+            return;
+        }
         self.stop.store(true, Ordering::SeqCst);
+        // The acceptor blocks in `accept`; a throwaway connection wakes
+        // it to see the flag (a wildcard bind is reached over loopback).
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -310,10 +461,7 @@ impl RouterHandle {
 
 impl Drop for RouterHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.stop_threads();
     }
 }
 
@@ -323,17 +471,20 @@ fn acceptor_loop(
     stats: Arc<RouterStats>,
     stop: Arc<AtomicBool>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            // Includes the shutdown wake-up connection itself.
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => match tx.try_send(stream) {
                 Ok(()) => stats.bump(&stats.accepted),
                 // Full queue: shed, exactly like ingestd's front door.
                 Err(TrySendError::Full(_)) => stats.bump(&stats.refused),
-                Err(TrySendError::Disconnected(_)) => break,
+                Err(TrySendError::Disconnected(_)) => return,
             },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Transient (EMFILE, ECONNABORTED): back off, keep serving.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -342,8 +493,9 @@ fn acceptor_loop(
 #[allow(clippy::too_many_arguments)]
 fn client_loop(
     rx: channel::Receiver<TcpStream>,
-    txs: Vec<channel::Sender<RoutedReport>>,
+    txs: Vec<channel::Sender<UplinkFrame>>,
     ring: Arc<HashRing>,
+    pool: Arc<BufPool>,
     config: RouterConfig,
     stats: Arc<RouterStats>,
     stop: Arc<AtomicBool>,
@@ -351,15 +503,18 @@ fn client_loop(
 ) {
     loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(stream) => handle_client(
-                stream,
-                &txs,
-                &ring,
-                &config,
-                &stats,
-                &stop,
-                board.as_deref(),
-            ),
+            Ok(stream) => {
+                let outbox = Outbox {
+                    txs: &txs,
+                    ring: &ring,
+                    pool: &pool,
+                    config: &config,
+                    stats: &stats,
+                    tally: Arc::new(ConnTally::default()),
+                    sent: 0,
+                };
+                handle_client(stream, outbox, &stop, board.as_deref());
+            }
             Err(RecvTimeoutError::Timeout) => {
                 if stop.load(Ordering::SeqCst) {
                     return;
@@ -392,22 +547,99 @@ fn write_client_ack(stream: &mut TcpStream, framed: &Option<GrantSubscriber>, ac
     }
 }
 
-/// Reads one client stream to EOF, routing every validated frame to its
-/// worker's queue, then waits for the worker acks and acks the client.
-/// A `TSGH` hello upgrades the server→client direction to control
-/// frames (framed acks, pushed grants) exactly as at a worker's front
-/// door — the grant session is transparent to whether a router sits in
-/// between.
-#[allow(clippy::too_many_arguments)]
+/// Per-connection staging: for each (ε′ nano, |τ|) key, one batch per
+/// worker. Ordered, so a read round's frames are queued in the same
+/// order on every run.
+type Staging = BTreeMap<(u64, u16), Vec<ReportBatch>>;
+
+/// A client connection's way out: where its staged batches are encoded
+/// and queued toward the workers.
+struct Outbox<'a> {
+    txs: &'a [channel::Sender<UplinkFrame>],
+    ring: &'a HashRing,
+    pool: &'a BufPool,
+    config: &'a RouterConfig,
+    stats: &'a RouterStats,
+    tally: Arc<ConnTally>,
+    /// Reports queued toward workers (the denominator the EOF wait
+    /// compares the tally's `done` against).
+    sent: u64,
+}
+
+impl Outbox<'_> {
+    /// Scatters every report of `batch` to its worker's staging batch,
+    /// shipping a staging batch whenever it is full.
+    fn scatter(&mut self, batch: &ReportBatch, staging: &mut Staging) {
+        let batch_max = self.config.batch_max.max(1);
+        let per_worker = staging
+            .entry((batch.eps_nano, batch.len))
+            .or_insert_with(|| vec![ReportBatch::new(); self.txs.len()]);
+        for row in batch.rows() {
+            let worker = self.ring.worker_for(column_key(batch, &row));
+            let staged = &mut per_worker[worker];
+            if staged.num_reports() >= batch_max || !staged.append_row(batch, &row) {
+                self.ship(worker, staged);
+                let appended = staged.append_row(batch, &row);
+                debug_assert!(appended, "a row always fits an empty batch");
+            }
+        }
+    }
+
+    /// End of a read round: everything staged goes out.
+    fn flush(&mut self, staging: &mut Staging) {
+        for per_worker in staging.values_mut() {
+            for (worker, staged) in per_worker.iter_mut().enumerate() {
+                self.ship(worker, staged);
+            }
+        }
+        if staging.len() > MAX_STAGING_KEYS {
+            staging.clear();
+        }
+    }
+
+    /// Encodes `staged` once and queues it to `worker`'s uplink as one
+    /// item; blocks for queue room up to `enqueue_timeout`, then sheds.
+    fn ship(&mut self, worker: usize, staged: &mut ReportBatch) {
+        let reports = staged.num_reports() as u64;
+        if reports == 0 {
+            return;
+        }
+        let mut bytes = self.pool.take();
+        staged.encode_frame_into(&mut bytes);
+        staged.clear();
+        let frame = UplinkFrame {
+            bytes,
+            reports,
+            tally: Arc::clone(&self.tally),
+        };
+        match self.txs[worker].send_timeout(frame, self.config.enqueue_timeout) {
+            Ok(()) => self.sent += reports,
+            // Shed: the queue stayed full past the timeout (worker
+            // stalled and its queue backed up). Not counted in `sent`,
+            // so the client sees the shortfall.
+            Err(SendTimeoutError::Timeout(frame) | SendTimeoutError::Disconnected(frame)) => {
+                self.stats
+                    .routed_failed
+                    .fetch_add(reports, Ordering::Relaxed);
+                self.pool.give(std::iter::once(frame.bytes));
+            }
+        }
+    }
+}
+
+/// Reads one client stream to EOF, scattering every validated frame
+/// toward its reports' workers, then waits for the worker acks and acks
+/// the client. A `TSGH` hello upgrades the server→client direction to
+/// control frames (framed acks, pushed grants) exactly as at a worker's
+/// front door — the grant session is transparent to whether a router
+/// sits in between.
 fn handle_client(
     mut stream: TcpStream,
-    txs: &[channel::Sender<RoutedReport>],
-    ring: &HashRing,
-    config: &RouterConfig,
-    stats: &RouterStats,
+    mut outbox: Outbox<'_>,
     stop: &AtomicBool,
     board: Option<&GrantBoard>,
 ) {
+    let (config, stats) = (outbox.config, outbox.stats);
     if stream.set_read_timeout(Some(config.read_timeout)).is_err()
         || stream.set_nodelay(true).is_err()
     {
@@ -415,16 +647,12 @@ fn handle_client(
         return;
     }
     let mut framed: Option<GrantSubscriber> = None;
-    let tally = Arc::new(ConnTally::default());
     let mut decoder = StreamDecoder::new();
-    // Batch-frame decode scratch (reused across frames) and a reusable
-    // buffer for re-encoding a batched report's payload, which the
-    // routing key hashes for multi-point reports.
+    // Decode scratch (reused across frames): a batch frame's columns,
+    // and the batch of one a single-report frame becomes.
     let mut batch_scratch = ReportBatch::new();
-    let mut key_buf = Vec::new();
-    // Reports enqueued toward workers (the denominator the EOF wait
-    // compares `done` against).
-    let mut sent = 0u64;
+    let mut single_scratch = ReportBatch::new();
+    let mut staging = Staging::new();
     // Batch-frame connections get cumulative acks opportunistically
     // mid-stream; single-frame connections keep the classic one-ack-at-
     // EOF exchange byte for byte.
@@ -448,13 +676,7 @@ fn handle_client(
                 // confirmed so far — under-acking is safe (the client
                 // treats it as a shortfall), over-acking never happens.
                 let deadline = Instant::now() + config.ack_timeout;
-                while tally.done.load(Ordering::Acquire) < sent
-                    && Instant::now() < deadline
-                    && !stop.load(Ordering::SeqCst)
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                let acked = tally.acked.load(Ordering::Acquire);
+                let acked = outbox.tally.wait_done(outbox.sent, deadline, stop);
                 if !write_client_ack(&mut stream, &framed, acked) {
                     stats.bump(&stats.io_errors);
                     return;
@@ -464,47 +686,21 @@ fn handle_client(
                 return;
             }
             Ok(_) => {
-                loop {
+                // `Some(counter)`: the stream must be dropped, counted there.
+                let fault = loop {
                     match decoder.next_wire_frame() {
-                        Ok(Some(WireFrame::Single { report, payload })) => {
-                            let worker = ring.worker_for(report_key(&report, payload));
-                            let routed = RoutedReport {
-                                report,
-                                tally: Arc::clone(&tally),
-                            };
-                            if enqueue(&txs[worker], routed, config.enqueue_timeout, stop) {
-                                sent += 1;
-                            } else {
-                                // Shed: queue stayed full past the
-                                // timeout (worker stalled and its queue
-                                // backed up). Not counted in `sent`, so
-                                // the client sees the shortfall.
-                                stats.bump(&stats.routed_failed);
-                            }
+                        Ok(Some(WireFrame::Single { report, .. })) => {
+                            single_scratch.clear();
+                            let pushed = single_scratch.try_push(&report);
+                            debug_assert!(pushed, "a report always fits an empty batch");
+                            outbox.scatter(&single_scratch, &mut staging);
                         }
                         Ok(Some(WireFrame::Batch { payload })) => {
                             saw_batch = true;
                             if batch_scratch.decode_payload_into(payload).is_err() {
-                                stats.bump(&stats.disconnected_protocol);
-                                return;
+                                break Some(&stats.disconnected_protocol);
                             }
-                            // The streaming iterator walks the columns
-                            // once (report_at(i) re-sums its offsets
-                            // per call, which is O(N²) over the batch).
-                            for report in batch_scratch.reports() {
-                                key_buf.clear();
-                                report.encode_frame_into(&mut key_buf);
-                                let worker = ring.worker_for(report_key(&report, &key_buf[4..]));
-                                let routed = RoutedReport {
-                                    report,
-                                    tally: Arc::clone(&tally),
-                                };
-                                if enqueue(&txs[worker], routed, config.enqueue_timeout, stop) {
-                                    sent += 1;
-                                } else {
-                                    stats.bump(&stats.routed_failed);
-                                }
-                            }
+                            outbox.scatter(&batch_scratch, &mut staging);
                         }
                         Ok(Some(WireFrame::Hello { hello })) => {
                             // Upgrade to the grant session (idempotent
@@ -514,12 +710,10 @@ fn handle_client(
                             // announcement pushed mid-stream.
                             if framed.is_none() {
                                 if hello.subscribes() && board.is_none() {
-                                    stats.bump(&stats.disconnected_protocol);
-                                    return;
+                                    break Some(&stats.disconnected_protocol);
                                 }
                                 let Ok(clone) = stream.try_clone() else {
-                                    stats.bump(&stats.io_errors);
-                                    return;
+                                    break Some(&stats.io_errors);
                                 };
                                 let _ = clone.set_write_timeout(Some(Duration::from_secs(1)));
                                 let writer: GrantSubscriber = Arc::new(Mutex::new(clone));
@@ -531,18 +725,23 @@ fn handle_client(
                                 framed = Some(writer);
                             }
                         }
-                        Ok(None) => break,
-                        Err(_) => {
-                            stats.bump(&stats.disconnected_protocol);
-                            return;
-                        }
+                        Ok(None) => break None,
+                        Err(_) => break Some(&stats.disconnected_protocol),
                     }
+                };
+                // End of the read round: everything staged goes out —
+                // also ahead of a fault, since the frames before it
+                // stand (each is an independent LDP message).
+                outbox.flush(&mut staging);
+                if let Some(counter) = fault {
+                    stats.bump(counter);
+                    return;
                 }
                 // Opportunistic mid-stream ack for batching clients:
                 // cumulative, monotone, never ahead of worker acks —
                 // the client takes the last one it reads.
                 if saw_batch {
-                    let acked = tally.acked.load(Ordering::Acquire);
+                    let acked = outbox.tally.acked();
                     if acked > last_ack {
                         last_ack = acked;
                         if !write_client_ack(&mut stream, &framed, acked) {
@@ -568,148 +767,312 @@ fn handle_client(
     }
 }
 
-/// Bounded enqueue: `try_send` + short sleeps up to `timeout` (the
-/// compat channel has no `send_timeout`). Returns whether the report
-/// was enqueued.
-fn enqueue(
-    tx: &channel::Sender<RoutedReport>,
-    mut routed: RoutedReport,
-    timeout: Duration,
-    stop: &AtomicBool,
-) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match tx.try_send(routed) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(r)) => {
-                if Instant::now() >= deadline || stop.load(Ordering::SeqCst) {
-                    return false;
-                }
-                routed = r;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(TrySendError::Disconnected(_)) => return false,
-        }
-    }
-}
-
-/// One worker's uplink: drain the queue in batches, ship each batch
-/// over a fresh worker connection, propagate acks. Exits when every
-/// client handler is gone (channel disconnected) or on stop with an
-/// empty queue.
-fn uplink_loop(
+/// One worker's uplink thread: everything it needs to drain its queue.
+struct Uplink {
     home: usize,
-    home_addr: SocketAddr,
-    rx: channel::Receiver<RoutedReport>,
+    rx: channel::Receiver<UplinkFrame>,
+    pool: Arc<BufPool>,
     config: RouterConfig,
     stats: Arc<RouterStats>,
     stop: Arc<AtomicBool>,
     workers_up: Arc<Vec<AtomicBool>>,
-) {
-    loop {
-        // First report of the next batch.
-        let first = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::SeqCst) && rx.is_empty() {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        let mut batch = vec![first];
-        let linger_deadline = Instant::now() + config.linger;
-        while batch.len() < config.batch_max.max(1) {
-            let now = Instant::now();
-            if now >= linger_deadline {
-                break;
-            }
-            match rx.recv_timeout(linger_deadline - now) {
-                Ok(r) => batch.push(r),
-                Err(_) => break,
-            }
-        }
-        ship_batch(home, home_addr, batch, &config, &stats, &stop, &workers_up);
+}
+
+/// A frame off the queue, without its bytes: gathered for the next
+/// write, then in flight on a [`Link`] until a worker ack covers it.
+struct InFlight {
+    tally: Arc<ConnTally>,
+    reports: u64,
+    bytes: usize,
+}
+
+impl InFlight {
+    /// Un-acked toward its client (counted before the client can see it).
+    fn fail(self, stats: &RouterStats) {
+        stats
+            .routed_failed
+            .fetch_add(self.reports, Ordering::Relaxed);
+        self.tally.settle(0, self.reports);
     }
 }
 
-/// Ships one batch: home worker first (reconnect with exponential
-/// backoff), then failover around the ring. Exactly one write attempt
-/// ever happens — once bytes go out, a failure fails the batch.
-#[allow(clippy::too_many_arguments)]
-fn ship_batch(
-    home: usize,
-    home_addr: SocketAddr,
-    batch: Vec<RoutedReport>,
-    config: &RouterConfig,
-    stats: &RouterStats,
-    stop: &AtomicBool,
-    workers_up: &[AtomicBool],
-) {
-    // Candidate order: home, then the rest by index (any deterministic
-    // order works — placement does not affect the merged result).
-    let n = config.workers.len();
-    for i in 0..n {
-        let w = (home + i) % n;
-        let addr = if w == home {
-            home_addr
-        } else {
-            config.workers[w]
-        };
-        // A worker already marked down gets one quick probe; the home
-        // worker (presumed up) gets the full backoff sequence.
-        let attempts = if workers_up[w].load(Ordering::Relaxed) {
-            config.connect_attempts.max(1)
-        } else {
-            1
-        };
-        match connect_with_backoff(addr, attempts, config, stop) {
-            Some(stream) => {
-                workers_up[w].store(true, Ordering::Relaxed);
-                if w != home {
-                    stats.bump(&stats.rerouted_batches);
-                }
-                match write_and_ack(stream, &batch, config) {
-                    Ok(acked) => settle_batch(&batch, acked, stats),
-                    Err(_) => {
-                        // The write started: the worker may hold any
-                        // prefix of the batch durable without having
-                        // acked. Never resend — fail the whole batch
-                        // (un-acked toward clients) and mark the worker
-                        // down so the next batch probes fresh.
-                        stats.bump(&stats.io_errors);
-                        workers_up[w].store(false, Ordering::Relaxed);
-                        stats.bump(&stats.worker_down);
-                        settle_batch(&batch, 0, stats);
+/// One open worker connection and what it still owes acks for.
+struct Link {
+    stream: TcpStream,
+    /// The worker it reached (the home worker, or a failover).
+    worker: usize,
+    opened: Instant,
+    /// Written frames in write order: the worker ingests in that order
+    /// and its cumulative ack counts the stream prefix it made durable,
+    /// so acks settle this FIFO from the front.
+    in_flight: VecDeque<InFlight>,
+    in_flight_bytes: usize,
+    /// The worker's latest cumulative ack on this connection.
+    acked: u64,
+    /// Reassembles 8-byte acks from however the socket fragments them.
+    partial: [u8; 8],
+    have: usize,
+}
+
+impl Link {
+    /// Feeds ack bytes: each complete cumulative ack settles the frames
+    /// (or part of one) it newly covers.
+    fn feed(&mut self, bytes: &[u8], stats: &RouterStats) {
+        for &b in bytes {
+            self.partial[self.have] = b;
+            self.have += 1;
+            if self.have == 8 {
+                self.have = 0;
+                let cum = u64::from_le_bytes(self.partial);
+                let mut newly = cum.saturating_sub(self.acked);
+                self.acked = self.acked.max(cum);
+                while newly > 0 {
+                    let Some(front) = self.in_flight.front_mut() else {
+                        break;
+                    };
+                    let take = newly.min(front.reports);
+                    // Counted before the client can see the ack.
+                    stats.cluster_routed.fetch_add(take, Ordering::Relaxed);
+                    front.tally.settle(take, 0);
+                    front.reports -= take;
+                    newly -= take;
+                    if front.reports == 0 {
+                        self.in_flight_bytes -= front.bytes;
+                        self.in_flight.pop_front();
                     }
                 }
-                return;
-            }
-            None => {
-                if workers_up[w].swap(false, Ordering::Relaxed) {
-                    stats.bump(&stats.worker_down);
-                }
             }
         }
     }
-    // Every worker unreachable: fail the batch.
-    settle_batch(&batch, 0, stats);
+
+    /// One blocking read of worker acks (bounded by the socket's read
+    /// timeout); `Ok(false)` is the worker's EOF.
+    fn read_acks(&mut self, stats: &RouterStats) -> std::io::Result<bool> {
+        let mut buf = [0u8; 1024];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.feed(&buf[..n], stats);
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Takes whatever acks have already arrived, without blocking —
+    /// once per vectored write, so settled reports reach their clients
+    /// while the queue stays busy.
+    fn poll_acks(&mut self, stats: &RouterStats) -> std::io::Result<()> {
+        self.stream.set_nonblocking(true)?;
+        let mut buf = [0u8; 1024];
+        let res = loop {
+            match self.stream.read(&mut buf) {
+                // Early close surfaces on the next write or blocking read.
+                Ok(0) => break Ok(()),
+                Ok(n) => self.feed(&buf[..n], stats),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.stream.set_nonblocking(false)?;
+        res
+    }
+
+    /// Everything written and still unacked is un-acked toward its
+    /// clients — never resent (the double-count rule).
+    fn fail_in_flight(&mut self, stats: &RouterStats) {
+        self.in_flight.drain(..).for_each(|f| f.fail(stats));
+        self.in_flight_bytes = 0;
+    }
 }
 
-/// Resolves every report in the batch: the first `acked` (worker acks
-/// attribute FIFO — the worker ingests frames in write order, and its
-/// last cumulative ack counts the stream prefix it made durable) are
-/// confirmed, the rest failed.
-fn settle_batch(batch: &[RoutedReport], acked: u64, stats: &RouterStats) {
-    for (i, r) in batch.iter().enumerate() {
-        if (i as u64) < acked {
-            r.tally.acked.fetch_add(1, Ordering::AcqRel);
-            stats.bump(&stats.cluster_routed);
-        } else {
-            stats.bump(&stats.routed_failed);
+impl Uplink {
+    /// Drains the queue until every client handler is gone (channel
+    /// disconnected, which on shutdown follows the handlers' exit).
+    fn run(self) {
+        let mut link: Option<Link> = None;
+        // The next write, gathered: frame buffers and their bookkeeping.
+        let mut bufs: Vec<Vec<u8>> = Vec::new();
+        let mut batch: Vec<InFlight> = Vec::new();
+        loop {
+            // A failover link is temporary: let go of it periodically so
+            // the next connect probes the home worker first.
+            if link.as_ref().is_some_and(|l| {
+                l.worker != self.home && l.opened.elapsed() >= self.config.reconnect_backoff_max
+            }) {
+                self.close(link.take());
+            }
+            // What to wait on depends on what the connection still owes.
+            let first = match &link {
+                // No connection: nothing to do until a frame arrives.
+                None => match self.rx.recv() {
+                    Ok(f) => Some(f),
+                    Err(_) => return,
+                },
+                // Too much unacked: stop writing, go read acks.
+                Some(l) if l.in_flight_bytes >= MAX_IN_FLIGHT_BYTES => None,
+                // Acks outstanding: write on if there is work, else read.
+                Some(l) if !l.in_flight.is_empty() => match self.rx.try_recv() {
+                    Ok(f) => Some(f),
+                    Err(TryRecvError::Empty) => None,
+                    Err(TryRecvError::Disconnected) => return self.close(link),
+                },
+                // Fully acked: keep the connection a moment for more work.
+                Some(_) => match self.rx.recv_timeout(IDLE_CLOSE) {
+                    Ok(f) => Some(f),
+                    Err(RecvTimeoutError::Timeout) => {
+                        self.close(link.take());
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => return self.close(link),
+                },
+            };
+            let Some(first) = first else {
+                // Block for the worker's next ack. None within
+                // IDLE_CLOSE (or its EOF): cycle the connection — the
+                // half-close makes the worker finish and send its final
+                // count, which decides what is still in flight.
+                let l = link.as_mut().expect("only a link waits for acks");
+                match l.read_acks(&self.stats) {
+                    Ok(true) => {}
+                    Ok(false) => self.close(link.take()),
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::WouldBlock
+                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                    {
+                        self.close(link.take())
+                    }
+                    Err(_) => self.fail(link.take()),
+                }
+                continue;
+            };
+
+            // Gather everything queued into one vectored write.
+            let mut bytes = 0;
+            let mut next = Some(first);
+            while let Some(f) = next {
+                bytes += f.bytes.len();
+                batch.push(InFlight {
+                    tally: f.tally,
+                    reports: f.reports,
+                    bytes: f.bytes.len(),
+                });
+                bufs.push(f.bytes);
+                next = (bufs.len() < MAX_WRITE_FRAMES && bytes < MAX_WRITE_BYTES)
+                    .then(|| self.rx.try_recv().ok())
+                    .flatten();
+            }
+            if link.is_none() {
+                link = self.connect();
+            }
+            let Some(l) = link.as_mut() else {
+                // Every worker unreachable: these frames were never
+                // written, but there is nowhere to send them.
+                batch.drain(..).for_each(|f| f.fail(&self.stats));
+                self.pool.give(bufs.drain(..));
+                continue;
+            };
+            // In flight from the moment the write begins: a failed
+            // write may still have delivered any prefix.
+            let n = batch.len() as u64;
+            l.in_flight.extend(batch.drain(..));
+            l.in_flight_bytes += bytes;
+            let mut io: Vec<IoSlice<'_>> = bufs.iter().map(|b| IoSlice::new(b)).collect();
+            let written = vio::write_all_vectored(&mut l.stream, &mut io);
+            self.stats.uplink_writes.fetch_add(1, Ordering::Relaxed);
+            self.stats.uplink_frames.fetch_add(n, Ordering::Relaxed);
+            if l.worker != self.home {
+                self.stats.rerouted_batches.fetch_add(n, Ordering::Relaxed);
+            }
+            let ok = written.and_then(|()| l.poll_acks(&self.stats)).is_ok();
+            self.pool.give(bufs.drain(..));
+            if !ok {
+                self.fail(link.take());
+            }
         }
-        r.tally.done.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Opens a connection for the next write: home worker first
+    /// (reconnect with exponential backoff), then failover around the
+    /// ring. `None` when every worker is unreachable.
+    fn connect(&self) -> Option<Link> {
+        // Candidate order: home, then the rest by index (any
+        // deterministic order works — placement does not affect the
+        // merged result).
+        let n = self.config.workers.len();
+        for i in 0..n {
+            let w = (self.home + i) % n;
+            let up = &self.workers_up[w];
+            // A worker already marked down gets one quick probe; one
+            // presumed up gets the full backoff sequence.
+            let attempts = if up.load(Ordering::Relaxed) {
+                self.config.connect_attempts.max(1)
+            } else {
+                1
+            };
+            let stream =
+                connect_with_backoff(self.config.workers[w], attempts, &self.config, &self.stop)
+                    .filter(|s| {
+                        // The short read timeout paces the ack wait in `run`.
+                        s.set_nodelay(true).is_ok() && s.set_read_timeout(Some(IDLE_CLOSE)).is_ok()
+                    });
+            match stream {
+                Some(stream) => {
+                    up.store(true, Ordering::Relaxed);
+                    self.stats.bump(&self.stats.uplink_connects);
+                    return Some(Link {
+                        stream,
+                        worker: w,
+                        opened: Instant::now(),
+                        in_flight: VecDeque::new(),
+                        in_flight_bytes: 0,
+                        acked: 0,
+                        partial: [0; 8],
+                        have: 0,
+                    });
+                }
+                None => {
+                    if up.swap(false, Ordering::Relaxed) {
+                        self.stats.bump(&self.stats.worker_down);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Lets go of a connection in order: half-close, read the worker's
+    /// acks to EOF (its last one is the durable total of the stream),
+    /// and settle — whatever the final count leaves uncovered was
+    /// refused by the worker and is un-acked toward its clients.
+    fn close(&self, link: Option<Link>) {
+        let Some(mut link) = link else { return };
+        let drained = (|| {
+            link.stream.shutdown(Shutdown::Write)?;
+            link.stream
+                .set_read_timeout(Some(self.config.read_timeout))?;
+            while link.read_acks(&self.stats)? {}
+            Ok::<(), std::io::Error>(())
+        })();
+        match drained {
+            Ok(()) => link.fail_in_flight(&self.stats),
+            Err(_) => self.fail(Some(link)),
+        }
+    }
+
+    /// The connection broke: its unacked frames are failed, and the
+    /// worker is marked down so the next connect probes it once.
+    fn fail(&self, link: Option<Link>) {
+        let Some(mut link) = link else { return };
+        self.stats.bump(&self.stats.io_errors);
+        if self.workers_up[link.worker].swap(false, Ordering::Relaxed) {
+            self.stats.bump(&self.stats.worker_down);
+        }
+        link.fail_in_flight(&self.stats);
     }
 }
 
@@ -736,97 +1099,4 @@ fn connect_with_backoff(
         }
     }
     None
-}
-
-/// Re-frames the batch as `TSR4` batch frames (one frame per run of
-/// reports sharing an ε′/|τ| key, capped at `batch_max`), streams them
-/// over one connection, half-closes, and returns the worker's *last*
-/// cumulative `u64` ack. Each completed frame leaves as one
-/// scatter-gather write straight from the encoder's column storage
-/// ([`BatchEncoder::push_to`]) — no contiguous re-encode buffer — and
-/// acks arriving mid-write are drained without blocking after every
-/// written frame so a large batch can't deadlock against the worker's
-/// ack writes.
-fn write_and_ack(
-    mut stream: TcpStream,
-    batch: &[RoutedReport],
-    config: &RouterConfig,
-) -> std::io::Result<u64> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    let mut enc = BatchEncoder::new(config.batch_max.max(1));
-    let mut acks = UplinkAcks::default();
-    for r in batch {
-        if enc.push_to(&r.report, &mut stream)? {
-            acks.drain_nonblocking(&mut stream)?;
-        }
-    }
-    enc.flush_to(&mut stream)?;
-    stream.shutdown(Shutdown::Write)?;
-    acks.read_to_eof(&mut stream)
-}
-
-/// Reassembles the worker's 8-byte cumulative acks from however the
-/// socket fragments them, keeping the last complete one (the acks are
-/// cumulative, so the last is the durable total).
-#[derive(Default)]
-struct UplinkAcks {
-    partial: [u8; 8],
-    have: usize,
-    last: u64,
-    seen: bool,
-}
-
-impl UplinkAcks {
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.partial[self.have] = b;
-            self.have += 1;
-            if self.have == 8 {
-                self.have = 0;
-                self.last = u64::from_le_bytes(self.partial);
-                self.seen = true;
-            }
-        }
-    }
-
-    fn drain_nonblocking(&mut self, stream: &mut TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(true)?;
-        let mut buf = [0u8; 1024];
-        let res = loop {
-            match stream.read(&mut buf) {
-                // Early close surfaces on the next write or final read.
-                Ok(0) => break Ok(()),
-                Ok(n) => self.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => break Err(e),
-            }
-        };
-        stream.set_nonblocking(false)?;
-        res
-    }
-
-    /// Blocks to EOF (bounded by the socket read timeout) and returns
-    /// the last cumulative ack. A worker that closed without ever
-    /// acking is an error — the caller settles the batch at zero, the
-    /// under-ack-safe direction.
-    fn read_to_eof(mut self, stream: &mut TcpStream) -> std::io::Result<u64> {
-        let mut buf = [0u8; 1024];
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => self.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if !self.seen {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "worker closed before any ack",
-            ));
-        }
-        Ok(self.last)
-    }
 }

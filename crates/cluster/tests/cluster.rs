@@ -1,9 +1,11 @@
 //! Cluster-tier integration over loopback: router partitioning with
 //! worker-confirmed acks, the coordinator's bit-exact merge against a
 //! single-node ground truth, stale-snapshot behavior while a worker is
-//! down, epoch-bumping re-merge after a worker restart, and batch
-//! failover to a live worker. (The full mechanism-driven run lives in
-//! the root `tests/cluster_e2e.rs`.)
+//! down, epoch-bumping re-merge after a worker restart, batch failover
+//! to a live worker, and the router's frame path: full uplink frames
+//! from mixed traffic, never over-acking across a worker kill, idle
+//! uplinks letting go, and the single-frame ack exchange. (The full
+//! mechanism-driven run lives in the root `tests/cluster_e2e.rs`.)
 
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -244,6 +246,264 @@ fn router_refuses_malformed_streams_without_acking() {
     drop(router);
     let _ = a.shutdown();
     let _ = std::fs::remove_dir_all(&dir_a);
+}
+
+/// Mixed traffic in arrival order: 3 ε′ values × 4 lengths × 8 live
+/// windows, interleaved so consecutive reports almost never share a
+/// frame key or a non-decreasing timestamp.
+fn mixed_report(i: u32) -> Report {
+    let len = 2 + (i % 4) as u16;
+    let region = |p: u16| (i + u32::from(p)) % REGIONS as u32;
+    Report {
+        t: u64::from(i * 5 % 8) * 10 + u64::from(i % 10),
+        eps_prime: 0.5 + f64::from(i % 3) * 0.25,
+        len,
+        unigrams: (0..len).map(|p| (p, region(p))).collect(),
+        exact: vec![(0, region(0)), (len - 1, region(len - 1))],
+        transitions: (1..len).map(|p| (region(p - 1), region(p))).collect(),
+    }
+}
+
+#[test]
+fn mixed_traffic_leaves_the_router_in_full_frames() {
+    use trajshare_service::stream_reports_batched;
+
+    let reports: Vec<Report> = (0..4_000).map(mixed_report).collect();
+    let n = reports.len() as u64;
+    let (cfg_a, dir_a) = worker_config("full-a");
+    let (cfg_b, dir_b) = worker_config("full-b");
+    let (cfg_s, dir_s) = worker_config("full-single");
+    let a = IngestServer::start(cfg_a).unwrap();
+    let b = IngestServer::start(cfg_b).unwrap();
+    let single = IngestServer::start(cfg_s).unwrap();
+    let router = Router::start(router_config(vec![a.addr(), b.addr()])).unwrap();
+
+    // `TSR4` in: the client's encoder flushes on every key change, so
+    // these arrive at about one report per frame.
+    assert_eq!(
+        stream_reports_batched(router.addr(), &reports, 2, 256).unwrap(),
+        n,
+        "every client acked in full"
+    );
+    assert_eq!(
+        stream_reports_batched(single.addr(), &reports, 2, 256).unwrap(),
+        n
+    );
+
+    // What left the router: frames of many reports over a couple of
+    // connections, not a frame per report and a connection per 512.
+    let stats = router.stats();
+    let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+    assert_eq!(load(&stats.cluster_routed), n);
+    assert_eq!(load(&stats.routed_failed), 0);
+    let (frames, writes, connects) = (
+        load(&stats.uplink_frames),
+        load(&stats.uplink_writes),
+        load(&stats.uplink_connects),
+    );
+    assert!(frames > 0 && frames <= n / 16, "{frames} frames for {n}");
+    assert!(writes > 0 && writes <= frames, "{writes} writes");
+    assert!((2..=6).contains(&connects), "{connects} connects");
+
+    // Re-packing is invisible in the merge: counters and ring equal the
+    // single node's, bit for bit.
+    let (na, nb) = (a.counts().num_reports, b.counts().num_reports);
+    assert!(na > 0 && nb > 0, "degenerate partition: {na}/{nb}");
+    let mut ccfg = CoordConfig::new(
+        vec![a.export_addr().unwrap(), b.export_addr().unwrap()],
+        vec![0u16; REGIONS],
+    );
+    ccfg.window = Some(WINDOW);
+    let mut coord = Coordinator::new(ccfg);
+    let view = coord.tick();
+    assert_eq!(view.merged_reports, n);
+    let single_ring = single.windowed_counts().unwrap();
+    assert_eq!(view.counts_crc32, snapshot_fingerprint(&single.counts()));
+    assert_eq!(
+        view.ring_crc32.unwrap(),
+        snapshot_fingerprint(single_ring.merged())
+    );
+    assert_eq!(
+        ring_summary(coord.merged_ring().unwrap()),
+        ring_summary(&single_ring)
+    );
+    assert_eq!(single.counts().rejected, 0, "the traffic is well-formed");
+
+    drop(router);
+    let _ = (a.shutdown(), b.shutdown(), single.shutdown());
+    for d in [dir_a, dir_b, dir_s] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+/// Reads a raw-ack stream to EOF and returns every complete `u64`.
+fn read_acks_to_eof(conn: &mut std::net::TcpStream) -> Vec<u64> {
+    use std::io::Read;
+    let mut bytes = Vec::new();
+    conn.read_to_end(&mut bytes).unwrap();
+    assert_eq!(bytes.len() % 8, 0, "acks are whole u64s");
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+#[test]
+fn a_dying_worker_never_makes_the_router_over_ack() {
+    use std::io::Write;
+    use std::sync::Barrier;
+    use trajshare_service::{encode_wire, stream_reports_batched};
+
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: u32 = 12_000;
+    let (cfg_a, dir_a) = worker_config("overack-a");
+    let (cfg_b, dir_b) = worker_config("overack-b");
+    let a = IngestServer::start(cfg_a).unwrap();
+    let b = IngestServer::start(cfg_b.clone()).unwrap();
+    let router = Router::start(router_config(vec![a.addr(), b.addr()])).unwrap();
+    let addr = router.addr();
+
+    // Each client writes the first half of its upload, meets the main
+    // thread at the barrier, and writes on: worker B dies with all four
+    // mid-upload and frames for it queued, in flight and still to come.
+    let barrier = Barrier::new(CLIENTS + 1);
+    let acks: Vec<u64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS as u32)
+            .map(|c| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let reports: Vec<Report> = (0..PER_CLIENT)
+                        .map(|i| mixed_report(c * PER_CLIENT + i))
+                        .collect();
+                    let wire = encode_wire(&reports, 64);
+                    let (head, tail) = wire.split_at(wire.len() / 2);
+                    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+                    conn.set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    conn.write_all(head).unwrap();
+                    barrier.wait();
+                    conn.write_all(tail).unwrap();
+                    conn.shutdown(std::net::Shutdown::Write).unwrap();
+                    // Cumulative and monotone; the last one is the claim.
+                    let acks = read_acks_to_eof(&mut conn);
+                    assert!(acks.windows(2).all(|w| w[0] <= w[1]), "{acks:?}");
+                    acks.last().copied().unwrap_or(0)
+                })
+            })
+            .collect();
+        barrier.wait();
+        b.crash();
+        clients.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let sent = u64::from(PER_CLIENT) * CLIENTS as u64;
+
+    // Every report the router took in has exactly one fate.
+    let stats = router.stats();
+    let routed = stats.cluster_routed.load(Ordering::Relaxed);
+    let failed = stats.routed_failed.load(Ordering::Relaxed);
+    assert_eq!(routed + failed, sent, "routed {routed} + failed {failed}");
+    assert_eq!(acks.iter().sum::<u64>(), routed);
+
+    // The next upload finds B down before any write: fails over, acked
+    // in full.
+    let next: Vec<Report> = (0..500).map(mixed_report).collect();
+    assert_eq!(
+        stream_reports_batched(router.addr(), &next, 2, 64).unwrap(),
+        500
+    );
+    assert_eq!(router.workers_up(), vec![true, false]);
+    assert!(stats.rerouted_batches.load(Ordering::Relaxed) > 0);
+
+    // What clients were told is durable never exceeds what the workers
+    // hold — B's share counted from its WAL, as after a real kill.
+    let b2 = IngestServer::start(cfg_b).unwrap();
+    let durable = a.counts().num_reports + b2.counts().num_reports;
+    let told = acks.iter().sum::<u64>() + 500;
+    assert!(told <= durable, "acked {told} > durable {durable}");
+    // And nothing was written twice: no worker holds more than was sent.
+    assert!(durable <= sent + 500, "durable {durable} > sent");
+
+    drop(router);
+    let _ = (a.shutdown(), b2.shutdown());
+    for d in [dir_a, dir_b] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+#[test]
+fn idle_uplinks_let_go_of_their_worker() {
+    use trajshare_service::stream_reports_batched;
+
+    let (mut cfg, dir) = worker_config("idle");
+    cfg.read_timeout = Duration::from_millis(300);
+    let worker = IngestServer::start(cfg).unwrap();
+    let router = Router::start(router_config(vec![worker.addr()])).unwrap();
+    let burst: Vec<Report> = (0..600).map(mixed_report).collect();
+
+    // Burst, silence well past the worker's read timeout, burst: an
+    // uplink that sat on its connection would be cut off as a slow
+    // client and lose the second burst's first frames.
+    assert_eq!(
+        stream_reports_batched(router.addr(), &burst, 2, 64).unwrap(),
+        600
+    );
+    std::thread::sleep(Duration::from_secs(1));
+    assert_eq!(
+        stream_reports_batched(router.addr(), &burst, 2, 64).unwrap(),
+        600
+    );
+    let stats = worker.stats();
+    assert_eq!(stats.disconnected_slow.load(Ordering::Relaxed), 0);
+    assert_eq!(stats.io_errors.load(Ordering::Relaxed), 0);
+    assert_eq!(router.stats().routed_failed.load(Ordering::Relaxed), 0);
+    assert!(router.stats().uplink_connects.load(Ordering::Relaxed) >= 2);
+
+    // Stopping a worker joins its connection threads: right after a
+    // burst that must not take the read timeout an open uplink would
+    // hold it for.
+    let t0 = std::time::Instant::now();
+    worker.crash();
+    assert!(
+        t0.elapsed() < Duration::from_millis(200),
+        "crash() waited {:?} on a router uplink",
+        t0.elapsed()
+    );
+
+    drop(router);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn single_frame_connections_see_one_ack_at_eof() {
+    use std::io::Write;
+    use trajshare_service::encode_wire;
+
+    let (cfg, dir) = worker_config("tsr3");
+    let worker = IngestServer::start(cfg).unwrap();
+    let router = Router::start(router_config(vec![worker.addr()])).unwrap();
+    let reports: Vec<Report> = (0..400).map(mixed_report).collect();
+    let (head, tail) = reports.split_at(200);
+
+    // Two read rounds, the second only after the first is worker-acked:
+    // a router that acked single-frame connections mid-stream would have
+    // an ack to write before EOF.
+    let mut conn = std::net::TcpStream::connect(router.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    conn.write_all(&encode_wire(head, 1)).unwrap();
+    let t0 = std::time::Instant::now();
+    while router.stats().cluster_routed.load(Ordering::Relaxed) < 200 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "first half stuck");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    conn.write_all(&encode_wire(tail, 1)).unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(read_acks_to_eof(&mut conn), vec![400]);
+    assert_eq!(worker.counts().num_reports, 400);
+
+    drop(router);
+    let _ = worker.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Toy report at an explicit timestamp and ε′ — the grant-following

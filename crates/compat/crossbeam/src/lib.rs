@@ -72,6 +72,15 @@ pub mod channel {
         Disconnected(T),
     }
 
+    /// Why `send_timeout` failed.
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum SendTimeoutError<T> {
+        /// The queue stayed at capacity for the whole timeout.
+        Timeout(T),
+        /// No receivers remain.
+        Disconnected(T),
+    }
+
     /// `recv` on a channel that is empty with no senders left.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
@@ -152,6 +161,30 @@ pub mod channel {
                     return Ok(());
                 }
                 st = self.0.not_full.wait(st).unwrap();
+            }
+        }
+
+        /// Like `send`, bounded by `timeout`: blocks on the `not_full`
+        /// condvar (no spinning) until there is room, the deadline
+        /// passes, or every receiver is gone.
+        pub fn send_timeout(&self, item: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
+            let deadline = Instant::now() + timeout;
+            let mut st = self.0.state.lock().unwrap();
+            loop {
+                if st.receivers == 0 {
+                    return Err(SendTimeoutError::Disconnected(item));
+                }
+                if st.queue.len() < self.0.cap {
+                    st.queue.push_back(item);
+                    self.0.not_empty.notify_one();
+                    return Ok(());
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(SendTimeoutError::Timeout(item));
+                }
+                let (guard, _timed_out) = self.0.not_full.wait_timeout(st, deadline - now).unwrap();
+                st = guard;
             }
         }
 
@@ -267,8 +300,8 @@ pub mod thread {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, RecvTimeoutError, TrySendError};
-    use std::time::Duration;
+    use super::channel::{bounded, RecvTimeoutError, SendTimeoutError, TrySendError};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn bounded_channel_passes_items_across_threads() {
@@ -296,6 +329,34 @@ mod tests {
         tx.try_send(3).unwrap();
         drop(rx);
         assert!(matches!(tx.try_send(9), Err(TrySendError::Disconnected(9))));
+    }
+
+    #[test]
+    fn send_timeout_waits_for_room_then_times_out() {
+        let (tx, rx) = bounded::<u8>(1);
+        tx.send_timeout(1, Duration::from_millis(20)).unwrap();
+        // Full, nobody receiving: the item comes back after the wait.
+        let t0 = Instant::now();
+        assert_eq!(
+            tx.send_timeout(2, Duration::from_millis(30)),
+            Err(SendTimeoutError::Timeout(2))
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        // A receiver making room wakes the blocked sender: the channel
+        // hand-off (not a sleep) orders the two sides.
+        let consumer = std::thread::spawn(move || {
+            let first = rx.recv().unwrap();
+            let second = rx.recv().unwrap();
+            (first, second, rx)
+        });
+        tx.send_timeout(3, Duration::from_secs(10)).unwrap();
+        let (first, second, rx) = consumer.join().unwrap();
+        assert_eq!((first, second), (1, 3));
+        drop(rx);
+        assert_eq!(
+            tx.send_timeout(4, Duration::from_secs(10)),
+            Err(SendTimeoutError::Disconnected(4))
+        );
     }
 
     #[test]
