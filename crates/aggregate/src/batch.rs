@@ -1,10 +1,10 @@
 //! Columnar report batches and the `TSR4` batch wire frame.
 //!
-//! The single-report frames (`TSR2`/`TSR3`, [`crate::report`]) spend
-//! most of the ingest path's cycles on per-report overhead: one frame
-//! header, one decode dispatch, one aggregation call, and — behind a
-//! router or a durable server — one WAL record and one ack per report.
-//! `TSR4` amortises all of it. One frame carries N reports with the
+//! The single-report frame (`TSR3`, [`crate::report`]) spends most of
+//! the ingest path's cycles on per-report overhead: one frame header,
+//! one decode dispatch, one aggregation call, and — behind a router or
+//! a durable server — one WAL record per report. `TSR4` amortises all
+//! of it. One frame carries N reports with the
 //! header fields every report in the batch shares hoisted out once:
 //!
 //! ```text
@@ -35,7 +35,10 @@
 //! check and **one** length bound per batch instead of per report — see
 //! `accumulate_columns` in [`crate::ingest`] — and the decoded form,
 //! [`ReportBatch`], is struct-of-arrays so a server can decode into
-//! per-connection scratch with zero per-report allocation.
+//! per-connection scratch with zero per-report allocation. A `TSR3`
+//! payload decodes into the same scratch as a batch of one
+//! ([`ReportBatch::decode_payload_into`] takes either kind), so nothing
+//! behind the decoder knows which frame a report arrived in.
 //!
 //! The decoder obeys the same hostile-input contract as
 //! [`Report::decode`]: all size arithmetic in `u64`, nothing written to
@@ -43,8 +46,9 @@
 //! with the buffer length, the CRC, and each other. A frame that fails
 //! any check must never be acked.
 
-use crate::report::{DecodeError, Report, MAX_FRAME_LEN};
+use crate::report::{DecodeError, Report, ReportHeader, MAX_FRAME_LEN};
 use crate::snapshot::crc32;
+use std::time::Instant;
 use trajshare_core::crc32_extend;
 
 /// A decoded `TSR4` batch: N reports in columnar (struct-of-arrays)
@@ -283,7 +287,8 @@ impl ReportBatch {
     }
 
     /// Iterates the batch as allocated row-form [`Report`]s, in order.
-    /// Cold paths only (WAL replay, tests); hot paths stay columnar.
+    /// Cold paths only (the row-form `replay_wal` adapter, tests); hot
+    /// paths, recovery included, stay columnar.
     pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
         self.rows().map(|row| {
             let pair = |pos: &[u16], region: &[u32]| {
@@ -358,17 +363,22 @@ impl ReportBatch {
         self.encode_payload_into(out);
     }
 
-    /// Decodes a `TSR4` payload into this batch, reusing column
-    /// capacity. On any error the batch is left empty and nothing must
-    /// be acked. Validation order: magic, header completeness, exact
+    /// Decodes one report-frame payload — a `TSR4` batch or a single
+    /// `TSR3` report, which becomes a batch of one — into this batch,
+    /// reusing column capacity. The one place the frame kind is told
+    /// apart. On any error the batch is left empty and nothing must be
+    /// acked. `TSR4` validation order: header completeness, exact
     /// declared-size match (in `u64`, so hostile counts cannot overflow
     /// or force an allocation), CRC, and per-report count columns
-    /// summing to the declared totals.
+    /// summing to the declared totals; a `TSR3` payload goes through
+    /// the validator [`Report::decode`] uses, so both decoders accept
+    /// and reject exactly the same bytes.
     ///
-    /// On success returns the CRC-32 of the **entire** `buf` (including
-    /// its trailing frame checksum) — exactly what a WAL record header
-    /// over the payload needs — continued from the state the validation
-    /// pass already computed, so durable callers never rescan the bytes.
+    /// On success returns the CRC-32 of the **entire** `buf` — exactly
+    /// what a WAL record header over the payload needs. For `TSR4`
+    /// (whose payload ends in its own checksum) it is continued from
+    /// the state the validation pass already computed, so durable
+    /// callers never rescan the bytes; for `TSR3` it is computed here.
     pub fn decode_payload_into(&mut self, buf: &[u8]) -> Result<u32, DecodeError> {
         self.decode_payload_impl(buf, None)
     }
@@ -393,16 +403,58 @@ impl ReportBatch {
         buf: &[u8],
         timing: Option<(&mut u64, &mut u64)>,
     ) -> Result<u32, DecodeError> {
-        let t0 = timing.as_ref().map(|_| std::time::Instant::now());
+        let t0 = timing.as_ref().map(|_| Instant::now());
         self.clear();
-        if buf.len() < 4 {
-            return Err(DecodeError::Truncated {
-                needed: Self::HEADER_LEN as u64 + 4,
-            });
+        let (whole_crc, t1) = if buf.starts_with(&Self::MAGIC) {
+            self.fill_from_batch(buf, timing.is_some())?
+        } else {
+            self.fill_from_single(buf, timing.is_some())?
+        };
+        if let (Some((validate_ns, fill_ns)), Some(t0), Some(t1)) = (timing, t0, t1) {
+            *validate_ns += t1.duration_since(t0).as_nanos() as u64;
+            *fill_ns += t1.elapsed().as_nanos() as u64;
         }
-        if buf[0..4] != Self::MAGIC {
-            return Err(DecodeError::BadMagic);
+        Ok(whole_crc)
+    }
+
+    /// One `TSR3` report — or bytes of neither kind, which its validator
+    /// rejects — as a batch of one. Returns the payload CRC and, when
+    /// `timed`, the instant validation ended and the column fill began.
+    fn fill_from_single(
+        &mut self,
+        buf: &[u8],
+        timed: bool,
+    ) -> Result<(u32, Option<Instant>), DecodeError> {
+        let h = ReportHeader::validate(buf)?;
+        let whole_crc = crc32(buf);
+        let t1 = timed.then(Instant::now);
+        self.base_t = h.t;
+        self.eps_nano = h.eps_nano;
+        self.len = h.len;
+        self.t_delta.push(0);
+        self.n_uni.push(h.n_uni as u32);
+        self.n_exact.push(h.n_exact as u32);
+        self.n_trans.push(h.n_trans as u32);
+        let (uni, rest) = buf[Report::HEADER_LEN..].split_at(h.n_uni * 6);
+        let (exact, trans) = rest.split_at(h.n_exact * 6);
+        fill_pairs(&mut self.uni_pos, &mut self.uni_region, uni);
+        fill_pairs(&mut self.exact_pos, &mut self.exact_region, exact);
+        for c in trans.chunks_exact(8) {
+            self.trans_tail
+                .push(u32::from_le_bytes(c[..4].try_into().unwrap()));
+            self.trans_head
+                .push(u32::from_le_bytes(c[4..].try_into().unwrap()));
         }
+        Ok((whole_crc, t1))
+    }
+
+    /// A `TSR4` payload (magic already matched); same return as
+    /// [`ReportBatch::fill_from_single`].
+    fn fill_from_batch(
+        &mut self,
+        buf: &[u8],
+        timed: bool,
+    ) -> Result<(u32, Option<Instant>), DecodeError> {
         if buf.len() < Self::HEADER_LEN {
             return Err(DecodeError::Truncated {
                 needed: Self::HEADER_LEN as u64 + 4,
@@ -460,7 +512,7 @@ impl ReportBatch {
         {
             return Err(DecodeError::FrameMismatch);
         }
-        let t1 = t0.map(|_| std::time::Instant::now());
+        let t1 = timed.then(Instant::now);
         self.base_t = base_t;
         self.eps_nano = eps_nano;
         self.len = len;
@@ -478,11 +530,16 @@ impl ReportBatch {
         fill_u32(&mut self.trans_tail, take(tt * 4));
         fill_u32(&mut self.trans_head, take(tt * 4));
         debug_assert_eq!(off, payload.len());
-        if let (Some((validate_ns, fill_ns)), Some(t0), Some(t1)) = (timing, t0, t1) {
-            *validate_ns += t1.duration_since(t0).as_nanos() as u64;
-            *fill_ns += t1.elapsed().as_nanos() as u64;
-        }
-        Ok(whole_crc)
+        Ok((whole_crc, t1))
+    }
+}
+
+/// `TSR3`'s interleaved `(u16 position, u32 region)` pairs, split into
+/// the two columns.
+fn fill_pairs(pos: &mut Vec<u16>, region: &mut Vec<u32>, bytes: &[u8]) {
+    for c in bytes.chunks_exact(6) {
+        pos.push(u16::from_le_bytes([c[0], c[1]]));
+        region.push(u32::from_le_bytes([c[2], c[3], c[4], c[5]]));
     }
 }
 
@@ -746,9 +803,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_decoder_interleaves_all_three_frame_kinds() {
+    fn stream_decoder_interleaves_both_frame_kinds() {
         use crate::report::WireFrame;
-        let singles: Vec<Report> = (0..3).map(|i| toy_report(i, 0.75, 3, i as u32)).collect();
+        let singles: Vec<Report> = (0..2).map(|i| toy_report(i, 0.75, 3, i as u32)).collect();
         let batched: Vec<Report> = (0..5)
             .map(|i| toy_report(50 + i, 1.5, 2, i as u32))
             .collect();
@@ -758,7 +815,6 @@ mod tests {
             .unwrap()
             .encode_frame_into(&mut wire); // TSR4
         singles[1].encode_frame_into(&mut wire); // TSR3
-        wire.extend_from_slice(&crate::report::tests_v2_frame(&singles[2])); // TSR2
         ReportBatch::from_reports(&batched[..2])
             .unwrap()
             .encode_frame_into(&mut wire); // TSR4 again
@@ -767,13 +823,14 @@ mod tests {
         let mut dec = StreamDecoder::new();
         let mut scratch = ReportBatch::new();
         let mut got: Vec<Report> = Vec::new();
+        let mut kinds = Vec::new();
         for &b in &wire {
             dec.extend(&[b]);
             loop {
                 match dec.next_wire_frame().unwrap() {
                     None => break,
-                    Some(WireFrame::Single { report, .. }) => got.push(report),
-                    Some(WireFrame::Batch { payload }) => {
+                    Some(WireFrame::Reports { payload, batch }) => {
+                        kinds.push(batch);
                         scratch.decode_payload_into(payload).unwrap();
                         got.extend(scratch.reports());
                     }
@@ -782,12 +839,10 @@ mod tests {
             }
         }
         assert_eq!(dec.pending(), 0);
-        let mut v2_single = singles[2].clone();
-        v2_single.t = 0; // TSR2 carries no timestamp
+        assert_eq!(kinds, [false, true, false, true]);
         let mut want = vec![singles[0].clone()];
         want.extend(batched.iter().cloned());
         want.push(singles[1].clone());
-        want.push(v2_single);
         want.extend(batched[..2].iter().cloned());
         assert_eq!(got, want);
     }
@@ -889,6 +944,52 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn a_tsr3_payload_decodes_to_the_same_report_in_columns_as_in_rows(
+            t in 0u64..=u64::MAX,
+            nano in 0u64..=u64::MAX,
+            len in 0u16..=u16::MAX,
+            unigrams in proptest::collection::vec((0u16..=u16::MAX, 0u32..=u32::MAX), 0..12),
+            exact in proptest::collection::vec((0u16..=u16::MAX, 0u32..=u32::MAX), 0..4),
+            transitions in proptest::collection::vec((0u32..=u32::MAX, 0u32..=u32::MAX), 0..12),
+            forged_uni in 0u32..24,
+            forged_exact in 0u32..8,
+            forged_trans in 0u32..=u32::MAX,
+        ) {
+            let report = Report { t, eps_prime: 0.5, len, unigrams, exact, transitions };
+            let mut payload = report.encode();
+            payload[12..20].copy_from_slice(&nano.to_le_bytes()); // any ε′, hostile ones too
+            let row = Report::decode(&payload).unwrap();
+            let mut cols = ReportBatch::new();
+            proptest::prop_assert_eq!(cols.decode_payload_into(&payload), Ok(crc32(&payload)));
+            proptest::prop_assert_eq!(cols.eps_nano, nano);
+            proptest::prop_assert_eq!(cols.reports().collect::<Vec<_>>(), vec![row.clone()]);
+            // The row-form batch builder lands on the same columns
+            // (whenever ε′ survives its trip through `f64`).
+            if row.eps_nano() == nano {
+                proptest::prop_assert_eq!(&cols, &ReportBatch::from_reports(&[row]).unwrap());
+            }
+            // Both decoders reject the same bytes with the same error:
+            // every strict prefix, a trailing byte, forged count headers.
+            let mut same_verdict = |bytes: &[u8]| {
+                let want = Report::decode(bytes).map(|_| ());
+                let got = cols.decode_payload_into(bytes).map(|_| ());
+                assert_eq!(got, want);
+                assert!(got.is_ok() || cols.is_empty());
+                got
+            };
+            for cut in 0..payload.len() {
+                proptest::prop_assert!(same_verdict(&payload[..cut]).unwrap_err().is_incomplete());
+            }
+            payload.push(0);
+            proptest::prop_assert_eq!(same_verdict(&payload), Err(DecodeError::TrailingBytes));
+            payload.pop();
+            for (at, count) in [(22, forged_uni), (26, forged_exact), (30, forged_trans)] {
+                payload[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            }
+            let _ = same_verdict(&payload);
+        }
+
         #[test]
         fn decode_never_panics_on_arbitrary_bytes(
             bytes in proptest::collection::vec(0u8..=255, 0..2048),

@@ -473,6 +473,94 @@ impl Default for GrantBoard {
     }
 }
 
+/// Why a `TSGH` hello could not upgrade its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionFault {
+    /// A subscribing hello reached a front door that runs no grant
+    /// session: the client would wait forever for a grant, so the
+    /// connection is refused loudly (a protocol violation).
+    NoGrantSession,
+    /// The socket could not be cloned for the shared writer.
+    Io,
+}
+
+/// The server→client half of one ingest connection, as both front doors
+/// (`ingestd` and `routerd`) run it: raw cumulative `u64` acks until a
+/// `TSGH` hello upgrades the connection, framed `TSAK` acks through the
+/// writer the grant board pushes `TSGB` grants down afterwards.
+#[derive(Default)]
+pub struct ServerSession {
+    /// `Some` once a hello upgraded the connection.
+    framed: Option<GrantSubscriber>,
+}
+
+impl ServerSession {
+    /// Applies a hello: from here the server→client direction is framed,
+    /// and a subscribing hello also registers the connection on `board`
+    /// — which writes it the current grant atomically, the late-joiner
+    /// catch-up. A repeated hello is idempotent. Returns whether this
+    /// call subscribed the connection.
+    pub fn upgrade(
+        &mut self,
+        hello: &HelloFrame,
+        stream: &std::net::TcpStream,
+        board: Option<&GrantBoard>,
+    ) -> Result<bool, SessionFault> {
+        if self.framed.is_some() {
+            return Ok(false);
+        }
+        if hello.subscribes() && board.is_none() {
+            return Err(SessionFault::NoGrantSession);
+        }
+        let clone = stream.try_clone().map_err(|_| SessionFault::Io)?;
+        // Bound how long a stalled subscriber can hold the grant board's
+        // push loop (the fd is shared with `stream`, so this also bounds
+        // ack writes — fine, they are tens of bytes).
+        let _ = clone.set_write_timeout(Some(std::time::Duration::from_secs(1)));
+        let writer: GrantSubscriber = std::sync::Arc::new(std::sync::Mutex::new(clone));
+        let subscribed = match board {
+            Some(board) if hello.subscribes() => {
+                board.subscribe(&writer);
+                true
+            }
+            _ => false,
+        };
+        self.framed = Some(writer);
+        Ok(subscribed)
+    }
+
+    /// Writes one cumulative ack; `false` when the write failed. Framed
+    /// acks go through the shared writer's lock, so an ack and a pushed
+    /// grant never interleave mid-frame, and leave as a stack payload in
+    /// one vectored write.
+    pub fn ack(&self, stream: &mut std::net::TcpStream, acked: u64) -> bool {
+        use std::io::Write;
+        match &self.framed {
+            Some(writer) => match writer.lock() {
+                Ok(mut w) => write_control_frame(&mut *w, &ack_payload(acked))
+                    .and_then(|()| w.flush())
+                    .is_ok(),
+                Err(_) => false,
+            },
+            None => stream.write_all(&acked.to_le_bytes()).is_ok(),
+        }
+    }
+}
+
+/// Wakes a thread blocked in `accept` on the listener bound to `addr`
+/// with a throwaway connection, so it can observe its stop flag (a
+/// wildcard bind is reached over loopback).
+pub fn wake_acceptor(mut addr: std::net::SocketAddr) {
+    use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, std::time::Duration::from_secs(1));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

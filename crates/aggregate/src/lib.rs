@@ -87,6 +87,7 @@ pub use estimate::{
 pub use eval::{score_paired, EvalConfig, UtilityScores};
 pub use grant::{
     ControlDecoder, ControlFrame, GrantBoard, GrantFrame, GrantSubscriber, HelloFrame,
+    ServerSession, SessionFault,
 };
 pub use ingest::{aggregate_reports, region_tiles, AggregateCounts, Aggregator, TILES_PER_DAY};
 pub use ldptrace::{

@@ -132,23 +132,15 @@ fn quantize_eps(eps: f64) -> f64 {
 use crate::budget::eps_to_nano;
 
 impl Report {
-    /// Wire-format magic ("TrajShare Report v3" — v3 prefixes the v2
-    /// layout with a `u64` report timestamp, the streaming-window key.
-    /// v2 buffers ([`Report::MAGIC_V2`]) still decode, with `t = 0`
-    /// (window 0), so pre-streaming clients and write-ahead logs stay
-    /// readable; v1 buffers are rejected with [`DecodeError::BadMagic`].
+    /// Wire-format magic ("TrajShare Report v3": a `u64` report
+    /// timestamp — the streaming-window key — then nano-ε, |τ| and the
+    /// three observation lists). The only single-report version: `TSR1`
+    /// and `TSR2` buffers are rejected with [`DecodeError::BadMagic`].
     pub const MAGIC: [u8; 4] = *b"TSR3";
 
-    /// The previous wire-format magic ("TrajShare Report v2" — nano-ε,
-    /// no timestamp). Accepted on decode for back-compat, never emitted.
-    pub const MAGIC_V2: [u8; 4] = *b"TSR2";
-
-    /// Fixed v3 header size: magic + timestamp + nano-ε + |τ| + three
+    /// Fixed header size: magic + timestamp + nano-ε + |τ| + three
     /// counts.
     pub const HEADER_LEN: usize = 4 + 8 + 8 + 2 + 4 + 4 + 4;
-
-    /// Fixed v2 header size (no timestamp field).
-    pub const HEADER_LEN_V2: usize = 4 + 8 + 2 + 4 + 4 + 4;
 
     /// Extracts the aggregation observations from a stage-1 mechanism
     /// output (see `NGramMechanism::perturb_raw`).
@@ -271,48 +263,10 @@ impl Report {
     /// with the buffer length — so allocation is bounded by the input
     /// size, not by attacker-chosen headers.
     pub fn decode(buf: &[u8]) -> Result<Report, DecodeError> {
-        if buf.len() < 4 {
-            // Cannot even tell the version apart yet; the v2 header is
-            // the smallest buffer that could decode, so that is the
-            // lower bound `Truncated` promises.
-            return Err(DecodeError::Truncated {
-                needed: Self::HEADER_LEN_V2 as u64,
-            });
-        }
-        // v3 carries a timestamp between the magic and the nano-ε; v2
-        // (accepted for back-compat) does not, and decodes as t = 0.
-        let (header_len, t_off) = if buf[0..4] == Self::MAGIC {
-            (Self::HEADER_LEN, Some(4usize))
-        } else if buf[0..4] == Self::MAGIC_V2 {
-            (Self::HEADER_LEN_V2, None)
-        } else {
-            return Err(DecodeError::BadMagic);
-        };
-        if buf.len() < header_len {
-            return Err(DecodeError::Truncated {
-                needed: header_len as u64,
-            });
-        }
-        let t = match t_off {
-            Some(o) => u64::from_le_bytes(buf[o..o + 8].try_into().unwrap()),
-            None => 0,
-        };
-        let rest = if t_off.is_some() { 12 } else { 4 };
-        let eps_nano = u64::from_le_bytes(buf[rest..rest + 8].try_into().unwrap());
-        let len = u16::from_le_bytes(buf[rest + 8..rest + 10].try_into().unwrap());
-        let n_uni = u32::from_le_bytes(buf[rest + 10..rest + 14].try_into().unwrap()) as usize;
-        let n_exact = u32::from_le_bytes(buf[rest + 14..rest + 18].try_into().unwrap()) as usize;
-        let n_trans = u32::from_le_bytes(buf[rest + 18..rest + 22].try_into().unwrap()) as usize;
-        let expect = header_len as u64 + (n_uni as u64 + n_exact as u64) * 6 + n_trans as u64 * 8;
-        match (buf.len() as u64).cmp(&expect) {
-            std::cmp::Ordering::Less => return Err(DecodeError::Truncated { needed: expect }),
-            std::cmp::Ordering::Greater => return Err(DecodeError::TrailingBytes),
-            std::cmp::Ordering::Equal => {}
-        }
+        let h = ReportHeader::validate(buf)?;
         // Counts are now bounded by buf.len(), so the allocations below
         // cannot exceed the input size.
-        let eps_prime = eps_nano as f64 / 1e9;
-        let mut off = header_len;
+        let mut off = Self::HEADER_LEN;
         let read_pairs = |count: usize, off: &mut usize| {
             let mut v = Vec::with_capacity(count);
             for _ in 0..count {
@@ -323,19 +277,19 @@ impl Report {
             }
             v
         };
-        let unigrams = read_pairs(n_uni, &mut off);
-        let exact = read_pairs(n_exact, &mut off);
-        let mut transitions = Vec::with_capacity(n_trans);
-        for _ in 0..n_trans {
+        let unigrams = read_pairs(h.n_uni, &mut off);
+        let exact = read_pairs(h.n_exact, &mut off);
+        let mut transitions = Vec::with_capacity(h.n_trans);
+        for _ in 0..h.n_trans {
             let a = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap());
             let b = u32::from_le_bytes(buf[off + 4..off + 8].try_into().unwrap());
             transitions.push((a, b));
             off += 8;
         }
         Ok(Report {
-            t,
-            eps_prime,
-            len,
+            t: h.t,
+            eps_prime: h.eps_nano as f64 / 1e9,
+            len: h.len,
             unigrams,
             exact,
             transitions,
@@ -378,28 +332,72 @@ impl Report {
     }
 }
 
+/// The fixed header of a `TSR3` payload whose declared counts have been
+/// proven to match the buffer length exactly — the one validator behind
+/// both decoders of the format, [`Report::decode`] (row form) and
+/// [`crate::batch::ReportBatch::decode_payload_into`] (a batch of one),
+/// so the two cannot disagree on what a valid payload is.
+pub(crate) struct ReportHeader {
+    pub t: u64,
+    pub eps_nano: u64,
+    pub len: u16,
+    pub n_uni: usize,
+    pub n_exact: usize,
+    pub n_trans: usize,
+}
+
+impl ReportHeader {
+    pub(crate) fn validate(buf: &[u8]) -> Result<ReportHeader, DecodeError> {
+        let truncated = DecodeError::Truncated {
+            needed: Report::HEADER_LEN as u64,
+        };
+        if buf.len() < 4 {
+            return Err(truncated);
+        }
+        if buf[0..4] != Report::MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        if buf.len() < Report::HEADER_LEN {
+            return Err(truncated);
+        }
+        let u32_at = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+        let h = ReportHeader {
+            t: u64::from_le_bytes(buf[4..12].try_into().unwrap()),
+            eps_nano: u64::from_le_bytes(buf[12..20].try_into().unwrap()),
+            len: u16::from_le_bytes(buf[20..22].try_into().unwrap()),
+            n_uni: u32_at(22),
+            n_exact: u32_at(26),
+            n_trans: u32_at(30),
+        };
+        let expect = Report::HEADER_LEN as u64
+            + (h.n_uni as u64 + h.n_exact as u64) * 6
+            + h.n_trans as u64 * 8;
+        match (buf.len() as u64).cmp(&expect) {
+            std::cmp::Ordering::Less => Err(DecodeError::Truncated { needed: expect }),
+            std::cmp::Ordering::Greater => Err(DecodeError::TrailingBytes),
+            std::cmp::Ordering::Equal => Ok(h),
+        }
+    }
+}
+
 /// One complete wire frame pulled off a connection by
-/// [`StreamDecoder::next_wire_frame`]: either a single-report frame
-/// (`TSR2`/`TSR3`), already decoded, or a `TSR4` batch frame whose raw
-/// payload the caller decodes into its scratch
-/// [`crate::batch::ReportBatch`]. The split keeps the batch path
-/// single-pass: the stream decoder only checks framing and magic, and
-/// the one full validation (sizes, CRC, column sums) happens in
-/// [`crate::batch::ReportBatch::decode_payload_into`].
+/// [`StreamDecoder::next_wire_frame`]. The stream decoder only checks
+/// framing and magic; the one full validation of a report frame (sizes,
+/// CRC, column sums) happens in
+/// [`crate::batch::ReportBatch::decode_payload_into`], which decodes
+/// either kind into columns.
 #[derive(Debug)]
 pub enum WireFrame<'a> {
-    /// A single-report frame; `payload` is the raw `Report::encode`
-    /// bytes (what a write-ahead log persists verbatim).
-    Single {
-        /// The decoded report.
-        report: Report,
-        /// The frame payload, without the length prefix.
+    /// A frame of reports — one `TSR3` report or a `TSR4` batch —
+    /// framing-checked but not yet validated.
+    Reports {
+        /// The frame payload, without the length prefix (what a
+        /// write-ahead log persists verbatim).
         payload: &'a [u8],
-    },
-    /// A `TSR4` batch frame, framing-checked but not yet validated.
-    Batch {
-        /// The frame payload, without the length prefix.
-        payload: &'a [u8],
+        /// Whether this is a `TSR4` batch frame. The one thing the kind
+        /// still decides: a connection gets mid-stream acks from its
+        /// first batch frame on.
+        batch: bool,
     },
     /// A `TSGH` grant-session hello (fully validated here — it is nine
     /// bytes). A subscribing hello switches the connection's
@@ -506,10 +504,11 @@ impl StreamDecoder {
         self.next_frame().map(|f| f.map(|(report, _)| report))
     }
 
-    /// Decodes the next complete frame of *any* kind — single-report
-    /// (`TSR2`/`TSR3`, decoded here) or batch (`TSR4`, returned as raw
-    /// payload for the caller's scratch [`crate::batch::ReportBatch`]).
-    /// Same contract as [`StreamDecoder::next_frame`] otherwise.
+    /// Pulls the next complete frame of *any* kind: a report frame
+    /// (`TSR3` or `TSR4`, returned as raw payload for the caller's
+    /// scratch [`crate::batch::ReportBatch`] — an unknown magic fails
+    /// there) or a `TSGH` hello. Same contract as
+    /// [`StreamDecoder::next_frame`] otherwise.
     pub fn next_wire_frame(&mut self) -> Result<Option<WireFrame<'_>>, DecodeError> {
         let avail = &self.buf[self.pos..self.filled];
         if avail.len() < 4 {
@@ -523,63 +522,30 @@ impl StreamDecoder {
         if avail.len() < total {
             return Ok(None);
         }
-        let (start, end) = (self.pos + 4, self.pos + total);
-        if self.buf[start..end].starts_with(&crate::batch::ReportBatch::MAGIC) {
-            self.pos += total;
-            return Ok(Some(WireFrame::Batch {
-                payload: &self.buf[start..end],
-            }));
-        }
-        if self.buf[start..end].starts_with(&crate::grant::HelloFrame::MAGIC) {
+        let payload = &self.buf[self.pos + 4..self.pos + total];
+        if payload.starts_with(&crate::grant::HelloFrame::MAGIC) {
             // Hellos are tiny and fixed-size: validate in place. Within
             // a complete frame, wrong-size payloads are corruption.
-            let hello = crate::grant::HelloFrame::decode_payload(&self.buf[start..end]).map_err(
-                |e| match e {
-                    DecodeError::Truncated { .. } | DecodeError::TrailingBytes => {
-                        DecodeError::FrameMismatch
-                    }
-                    e => e,
-                },
-            )?;
+            let hello = crate::grant::HelloFrame::decode_payload(payload).map_err(|e| match e {
+                DecodeError::Truncated { .. } | DecodeError::TrailingBytes => {
+                    DecodeError::FrameMismatch
+                }
+                e => e,
+            })?;
             self.pos += total;
             return Ok(Some(WireFrame::Hello { hello }));
         }
-        match Report::decode(&self.buf[start..end]) {
-            Ok(report) => {
-                self.pos += total;
-                Ok(Some(WireFrame::Single {
-                    report,
-                    payload: &self.buf[start..end],
-                }))
-            }
-            Err(DecodeError::BadMagic) => Err(DecodeError::BadMagic),
-            // The frame is complete, so in-payload incompleteness or
-            // excess is corruption — mirror `decode_frame`.
-            Err(DecodeError::Truncated { .. }) | Err(DecodeError::TrailingBytes) => {
-                Err(DecodeError::FrameMismatch)
-            }
-            Err(e) => Err(e),
-        }
+        self.pos += total;
+        Ok(Some(WireFrame::Reports {
+            payload,
+            batch: payload.starts_with(&crate::batch::ReportBatch::MAGIC),
+        }))
     }
 
     /// Bytes buffered but not yet consumed by a decoded frame.
     pub fn pending(&self) -> usize {
         self.filled - self.pos
     }
-}
-
-/// Hand-builds a length-prefixed v2 (`TSR2`) frame for `report` — the v3
-/// bytes minus the timestamp field, under the old magic. Tests only: v2
-/// is never emitted by production code.
-#[cfg(test)]
-pub(crate) fn tests_v2_frame(report: &Report) -> Vec<u8> {
-    let v3 = report.encode();
-    let mut v2 = Vec::with_capacity(v3.len() - 8);
-    v2.extend_from_slice(&Report::MAGIC_V2);
-    v2.extend_from_slice(&v3[12..]);
-    let mut frame = (v2.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&v2);
-    frame
 }
 
 #[cfg(test)]
@@ -670,43 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_buffers_decode_as_window_zero() {
-        let r = Report {
-            t: 7_200,
-            eps_prime: 0.625,
-            len: 2,
-            unigrams: vec![(0, 5), (1, 2)],
-            exact: vec![(0, 5)],
-            transitions: vec![(5, 2)],
-        };
-        // Hand-build the v2 encoding: the v3 bytes minus the timestamp
-        // field, under the old magic.
-        let v3 = r.encode();
-        let mut v2 = Vec::with_capacity(v3.len() - 8);
-        v2.extend_from_slice(&Report::MAGIC_V2);
-        v2.extend_from_slice(&v3[12..]);
-        let decoded = Report::decode(&v2).unwrap();
-        assert_eq!(decoded.t, 0, "v2 has no timestamp: window 0");
-        assert_eq!(decoded, r.clone().at(0));
-        // Framed v2 payloads work through the streaming entry point too.
-        let mut frame = (v2.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&v2);
-        let (framed, used) = Report::decode_frame(&frame).unwrap();
-        assert_eq!(used, frame.len());
-        assert_eq!(framed, r.at(0));
-        // And every strict prefix of a v2 buffer is Truncated, not a
-        // panic or a misparse.
-        for i in 0..v2.len() {
-            match Report::decode(&v2[..i]) {
-                Err(DecodeError::Truncated { needed }) => {
-                    assert!(needed as usize > i, "v2 prefix {i}")
-                }
-                other => panic!("v2 prefix {i}: expected Truncated, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn decode_rejects_corruption() {
         let r = Report::from_region_point(RegionId(3), 1.0);
         let buf = r.encode();
@@ -718,6 +647,8 @@ mod tests {
         );
         let mut bad_magic = buf.clone();
         bad_magic[0] = b'X';
+        assert_eq!(Report::decode(&bad_magic), Err(DecodeError::BadMagic));
+        bad_magic[..4].copy_from_slice(b"TSR2");
         assert_eq!(Report::decode(&bad_magic), Err(DecodeError::BadMagic));
         // One byte short of the declared counts: incomplete, not garbage —
         // and the error names the exact size needed.

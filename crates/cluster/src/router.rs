@@ -1,5 +1,5 @@
-//! `routerd`'s front door: TSR2/TSR3/TSR4 in, re-packed `TSR4` frames
-//! out over persistent, pipelined per-worker uplinks.
+//! `routerd`'s front door: report frames (TSR3/TSR4) in, re-packed
+//! `TSR4` frames out over persistent, pipelined per-worker uplinks.
 //!
 //! ```text
 //!            ┌──────────┐ conn queue ┌──────────────┐ per-worker ┌─────────┐ one open
@@ -18,8 +18,8 @@
 //! into column scratch, computes every report's placement key straight
 //! from the columns ([`column_key`] — no `Report`, no re-encode) and
 //! appends the row to a per-connection staging batch per
-//! (worker, ε′, |τ|); a single-report frame is a batch of one on the
-//! same path. Staging re-bases timestamps instead of splitting on an
+//! (worker, ε′, |τ|); a single-report frame decodes as a batch of one,
+//! so there is one path. Staging re-bases timestamps instead of splitting on an
 //! earlier one, so interleaved windows and lengths still pack. At the
 //! end of each read round (or at `batch_max` reports) every non-empty
 //! staging batch is encoded once into a pooled buffer and queued to its
@@ -31,8 +31,8 @@
 //! iovec/byte caps allow, never waits for an ack before the next write,
 //! and settles a FIFO of in-flight frames from the worker's cumulative
 //! acks (the worker writes one per drained read round). With nothing
-//! queued for [`IDLE_CLOSE`] it half-closes, reads the final ack and
-//! reconnects lazily on the next frame, so an idle router holds no
+//! queued for `IDLE_CLOSE` (20 ms) it half-closes, reads the final ack
+//! and reconnects lazily on the next frame, so an idle router holds no
 //! worker thread and trips no worker read timeout. Worker acks
 //! propagate back to the originating client connections in write order.
 //! A client's ack therefore certifies exactly what the single-node ack
@@ -65,15 +65,15 @@
 use crate::hash::{column_key, HashRing};
 use crossbeam::channel::{self, RecvTimeoutError, SendTimeoutError, TryRecvError, TrySendError};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{IoSlice, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{IoSlice, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use trajshare_aggregate::grant;
+use trajshare_aggregate::grant::wake_acceptor;
 use trajshare_aggregate::{
-    GrantBoard, GrantFrame, GrantSubscriber, ReportBatch, StreamDecoder, WireFrame,
+    GrantBoard, GrantFrame, ReportBatch, ServerSession, SessionFault, StreamDecoder, WireFrame,
 };
 use trajshare_core::vio;
 
@@ -444,15 +444,8 @@ impl RouterHandle {
         }
         self.stop.store(true, Ordering::SeqCst);
         // The acceptor blocks in `accept`; a throwaway connection wakes
-        // it to see the flag (a wildcard bind is reached over loopback).
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        // it to see the flag.
+        wake_acceptor(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -522,28 +515,6 @@ fn client_loop(
             }
             Err(RecvTimeoutError::Disconnected) => return,
         }
-    }
-}
-
-/// Writes one cumulative ack to the client: raw `u64` LE until a `TSGH`
-/// hello upgraded the connection, a framed `TSAK` through the shared
-/// writer afterwards (serialized against the grant board's pushes by
-/// the writer's lock).
-fn write_client_ack(stream: &mut TcpStream, framed: &Option<GrantSubscriber>, acked: u64) -> bool {
-    match framed {
-        Some(writer) => {
-            // Stack payload + one writev under the lock: no per-ack
-            // heap allocation, and the (prefix, payload) pair leaves in
-            // a single syscall.
-            let payload = grant::ack_payload(acked);
-            match writer.lock() {
-                Ok(mut w) => grant::write_control_frame(&mut *w, &payload)
-                    .and_then(|()| w.flush())
-                    .is_ok(),
-                Err(_) => false,
-            }
-        }
-        None => stream.write_all(&acked.to_le_bytes()).is_ok(),
     }
 }
 
@@ -646,12 +617,10 @@ fn handle_client(
         stats.bump(&stats.io_errors);
         return;
     }
-    let mut framed: Option<GrantSubscriber> = None;
+    let mut session = ServerSession::default();
     let mut decoder = StreamDecoder::new();
-    // Decode scratch (reused across frames): a batch frame's columns,
-    // and the batch of one a single-report frame becomes.
-    let mut batch_scratch = ReportBatch::new();
-    let mut single_scratch = ReportBatch::new();
+    // Decode scratch, reused across frames.
+    let mut scratch = ReportBatch::new();
     let mut staging = Staging::new();
     // Batch-frame connections get cumulative acks opportunistically
     // mid-stream; single-frame connections keep the classic one-ack-at-
@@ -677,7 +646,7 @@ fn handle_client(
                 // treats it as a shortfall), over-acking never happens.
                 let deadline = Instant::now() + config.ack_timeout;
                 let acked = outbox.tally.wait_done(outbox.sent, deadline, stop);
-                if !write_client_ack(&mut stream, &framed, acked) {
+                if !session.ack(&mut stream, acked) {
                     stats.bump(&stats.io_errors);
                     return;
                 }
@@ -689,40 +658,24 @@ fn handle_client(
                 // `Some(counter)`: the stream must be dropped, counted there.
                 let fault = loop {
                     match decoder.next_wire_frame() {
-                        Ok(Some(WireFrame::Single { report, .. })) => {
-                            single_scratch.clear();
-                            let pushed = single_scratch.try_push(&report);
-                            debug_assert!(pushed, "a report always fits an empty batch");
-                            outbox.scatter(&single_scratch, &mut staging);
-                        }
-                        Ok(Some(WireFrame::Batch { payload })) => {
-                            saw_batch = true;
-                            if batch_scratch.decode_payload_into(payload).is_err() {
+                        Ok(Some(WireFrame::Reports { payload, batch })) => {
+                            saw_batch |= batch;
+                            if scratch.decode_payload_into(payload).is_err() {
                                 break Some(&stats.disconnected_protocol);
                             }
-                            outbox.scatter(&batch_scratch, &mut staging);
+                            outbox.scatter(&scratch, &mut staging);
                         }
+                        // Upgrade to the grant session: framed acks from
+                        // here, and — when subscribing — the current
+                        // grant immediately plus every future
+                        // announcement pushed mid-stream.
                         Ok(Some(WireFrame::Hello { hello })) => {
-                            // Upgrade to the grant session (idempotent
-                            // on repeat hellos): framed acks from here,
-                            // and — when subscribing — the current
-                            // grant immediately plus every future
-                            // announcement pushed mid-stream.
-                            if framed.is_none() {
-                                if hello.subscribes() && board.is_none() {
-                                    break Some(&stats.disconnected_protocol);
+                            match session.upgrade(&hello, &stream, board) {
+                                Ok(_) => {}
+                                Err(SessionFault::NoGrantSession) => {
+                                    break Some(&stats.disconnected_protocol)
                                 }
-                                let Ok(clone) = stream.try_clone() else {
-                                    break Some(&stats.io_errors);
-                                };
-                                let _ = clone.set_write_timeout(Some(Duration::from_secs(1)));
-                                let writer: GrantSubscriber = Arc::new(Mutex::new(clone));
-                                if hello.subscribes() {
-                                    if let Some(board) = board {
-                                        board.subscribe(&writer);
-                                    }
-                                }
-                                framed = Some(writer);
+                                Err(SessionFault::Io) => break Some(&stats.io_errors),
                             }
                         }
                         Ok(None) => break None,
@@ -744,7 +697,7 @@ fn handle_client(
                     let acked = outbox.tally.acked();
                     if acked > last_ack {
                         last_ack = acked;
-                        if !write_client_ack(&mut stream, &framed, acked) {
+                        if !session.ack(&mut stream, acked) {
                             stats.bump(&stats.io_errors);
                             return;
                         }

@@ -66,6 +66,7 @@
 //! before and after a restart) diff cleanly.
 
 use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 use trajshare_aggregate::{
     eps_to_nano, nano_to_eps, AllocationPolicy, EstimatorBackend, WindowBudgetConfig, WindowConfig,
@@ -450,7 +451,7 @@ fn main() {
     // so operators (and the CI smoke test) see the live window view —
     // and, with a region graph, the live model estimate. With
     // `--profile`, a per-stage cost line every couple of seconds while
-    // batches keep arriving.
+    // frames keep arriving.
     let mut printed_seq = 0u64;
     let mut profiled_batches = 0u64;
     let mut profile_tick = std::time::Instant::now();
@@ -461,7 +462,7 @@ fn main() {
                 if p.batches > profiled_batches && p.reports > 0 {
                     profiled_batches = p.batches;
                     println!(
-                        "profile reports={} batches={} per-report ns: decode={} validate={} wal={} accumulate={} ack={}",
+                        "profile reports={} batches={} per-report ns: decode={} validate={} wal={} accumulate={} ack={} commits={}",
                         p.reports,
                         p.batches,
                         p.decode_ns / p.reports,
@@ -469,6 +470,7 @@ fn main() {
                         p.wal_ns / p.reports,
                         p.accumulate_ns / p.reports,
                         p.ack_ns / p.reports,
+                        handle.stats().wal_commits.load(Ordering::Relaxed),
                     );
                 }
             }

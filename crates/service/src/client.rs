@@ -14,30 +14,11 @@ use trajshare_aggregate::{
 };
 use trajshare_core::vio;
 
-/// Streams one report slice over a single connection and returns the
-/// server's ack (reports accepted and made durable).
+/// Streams one report slice over a single connection as single-report
+/// frames and returns the server's ack (reports accepted and made
+/// durable) — the one a single-frame connection gets, at EOF.
 pub fn stream_once(addr: SocketAddr, reports: &[Report]) -> std::io::Result<u64> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    // Batch frames into large writes; syscall count, not framing, is the
-    // client-side bottleneck.
-    let mut buf = Vec::with_capacity(256 * 1024);
-    for report in reports {
-        report.encode_frame_into(&mut buf);
-        if buf.len() >= 192 * 1024 {
-            stream.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    if !buf.is_empty() {
-        stream.write_all(&buf)?;
-    }
-    // Half-close tells the server "stream complete"; it replies with the
-    // accepted count once everything is logged.
-    stream.shutdown(Shutdown::Write)?;
-    let mut ack = [0u8; 8];
-    stream.read_exact(&mut ack)?;
-    Ok(u64::from_le_bytes(ack))
+    stream_bytes_once(addr, &encode_wire(reports, 1))
 }
 
 /// Streams `reports` across `connections` parallel connections
@@ -111,10 +92,12 @@ pub fn encode_wire(reports: &[Report], batch: usize) -> Vec<u8> {
 
 /// Streams pre-encoded wire bytes over one connection, half-closes, and
 /// returns the server's *last* cumulative ack (the total accepted and
-/// durable). Batch-frame acks arriving mid-stream are drained
-/// opportunistically between writes — they are cumulative, so the last
-/// one wins — which also keeps a long upload from deadlocking against
-/// the server's per-batch ack writes on a full socket buffer.
+/// durable). Half-closing tells the server "stream complete"; it
+/// replies with the accepted count once everything is logged.
+/// Batch-frame acks arriving mid-stream are drained opportunistically
+/// between writes — they are cumulative, so the last one wins — which
+/// also keeps a long upload from deadlocking against the server's
+/// per-round ack writes on a full socket buffer.
 pub fn stream_bytes_once(addr: SocketAddr, wire: &[u8]) -> std::io::Result<u64> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;

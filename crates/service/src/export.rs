@@ -54,8 +54,13 @@ pub(crate) fn export_loop(
     read_timeout: Duration,
     board: Option<Arc<GrantBoard>>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            // Includes the shutdown wake-up connection itself.
+            return;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
                 if stream.set_read_timeout(Some(read_timeout)).is_err()
                     || stream.set_nodelay(true).is_err()
@@ -107,9 +112,7 @@ pub(crate) fn export_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Transient (EMFILE, ECONNABORTED): back off, keep serving.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }

@@ -21,13 +21,14 @@
 //!   write-ahead log; totals are merged on demand ([`ServerHandle::counts`])
 //!   — counters are plain sums, so shard count and scheduling never
 //!   change the result.
-//! * **Durability**: every validated report is appended to the worker's
-//!   WAL before it is counted, and the WAL is flushed before a
-//!   connection is acked, so an acked report survives any process kill
-//!   (OS-crash durability is a [`SyncPolicy`] choice — see
+//! * **Durability**: every validated report frame is appended to the
+//!   worker's WAL before it is counted, and the WAL is flushed once per
+//!   read round, before the round's ack, so an acked report survives any
+//!   process kill (OS-crash durability is a [`SyncPolicy`] choice — see
 //!   [`crate::storage::SyncPolicy`]). Workers snapshot their counters
 //!   every `snapshot_every` reports; restart recovery = base + shard
-//!   snapshots + log tails (see [`crate::storage`]).
+//!   snapshots + log tails, replayed through the same fold the live
+//!   path uses (see [`crate::storage`]).
 //! * **Streaming** (optional, [`ServerConfig::stream`]): each shard also
 //!   maintains a sliding-window ring over report timestamps; a
 //!   maintenance thread publishes the merged window view every
@@ -53,17 +54,17 @@
 //! maintenance thread (publication, budget pass, online compaction) in
 //! `maintenance.rs`, and the `TSCL` export listener in `export.rs`.
 //!
-//! Protocol: the client streams [`Report::encode_frame`] frames (and/or
-//! `TSR4` batch frames, [`trajshare_aggregate::batch`]), then shuts down
-//! its write half; the server ingests to EOF, flushes the WAL, and
-//! replies with the number of accepted reports as a `u64` LE ack before
-//! closing. Batch frames are additionally acked mid-stream with the
-//! same cumulative `u64` — one ack per drained read round, written
-//! after every batch in the round flushed its WAL record, so an acked
-//! batch is durable and a client that dies mid-stream re-sends at most
-//! one read round's worth of batches. Connections carrying only
-//! single-report frames stay byte-identical to the pre-batch protocol:
-//! one ack, at EOF.
+//! Protocol: the client streams single-report frames
+//! ([`trajshare_aggregate::Report::encode_frame`]) and/or `TSR4` batch
+//! frames ([`trajshare_aggregate::batch`]), mixed freely, then shuts
+//! down its write half. Every frame takes one path — decoded into
+//! columns, appended to the WAL, folded — and every read round ends with
+//! one WAL flush followed by at most one cumulative `u64` LE ack
+//! (reports accepted so far), so an ack never covers an unflushed record
+//! and a client that dies mid-stream re-sends at most one read round.
+//! EOF is the last round: its ack is the durable total. Mid-stream acks
+//! start with a connection's first `TSR4` frame; a connection of
+//! single-report frames only sees exactly one ack, at EOF.
 
 use crate::conn::{acceptor_loop, worker_loop};
 use crate::export::export_loop;
@@ -76,13 +77,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use trajshare_aggregate::grant::wake_acceptor;
 use trajshare_aggregate::snapshot::crc32;
 pub use trajshare_aggregate::BudgetPublication;
 use trajshare_aggregate::{
     AggregateCounts, Aggregator, EstimatorBackend, GrantBoard, GrantFrame, GrantRecord,
-    MobilityModel, PublicationEngine, Report, ReportBatch, StreamingEstimator,
-    WindowBudgetAccountant, WindowBudgetConfig, WindowConfig, WindowedAggregator,
+    MobilityModel, PublicationEngine, ReportBatch, StreamingEstimator, WindowBudgetAccountant,
+    WindowBudgetConfig, WindowConfig, WindowedAggregator,
 };
 use trajshare_core::RegionGraph;
 
@@ -215,7 +217,7 @@ pub struct ServerConfig {
     /// (see `trajshare_aggregate::clusterproto`). `None` (the default)
     /// runs no export listener — single-node deployments ship nothing.
     pub export_addr: Option<SocketAddr>,
-    /// Per-stage cost profiling of the batched ingest hot path
+    /// Per-stage cost profiling of the ingest hot path
     /// ([`ServerHandle::ingest_profile`]). Off (the default) costs
     /// nothing: the hot path never reads a clock — every timing call
     /// sits behind this flag's `Option`.
@@ -267,6 +269,10 @@ pub struct ServerStats {
     /// see [`StreamServerConfig::max_conn_advance`]). Not logged, not
     /// counted, not acked.
     pub watermark_throttled: AtomicU64,
+    /// Read rounds committed: one WAL flush, ahead of the round's ack,
+    /// for every socket read that appended at least one record
+    /// (`reports_ingested / wal_commits` is the commit size).
+    pub wal_commits: AtomicU64,
     /// Connections dropped by I/O errors (socket or WAL).
     pub io_errors: AtomicU64,
     /// Sliding-window publications emitted by the maintenance thread.
@@ -301,26 +307,30 @@ impl ServerStats {
     }
 }
 
-/// Per-stage wall-clock accounting of the batched (`TSR4`) ingest hot
-/// path, summed across all workers. Only allocated when
-/// [`ServerConfig::profile`] is set — with it off the connection
+/// Per-stage wall-clock accounting of the ingest hot path — every report
+/// frame, whichever kind — summed across all workers. Only allocated
+/// when [`ServerConfig::profile`] is set — with it off the connection
 /// handlers never read a clock, so profiling support costs the hot path
-/// nothing (one `Option` test per batch, resolved by branch prediction).
+/// nothing. `validate_ns`/`decode_ns` are timed per frame inside the
+/// decoder; the other clocks are read once per read round.
 #[derive(Debug, Default)]
 pub struct IngestProfile {
     /// Filling column scratch from validated payload bytes.
     pub decode_ns: AtomicU64,
     /// Frame CRC + header + column-structure validation.
     pub validate_ns: AtomicU64,
-    /// WAL append + flush (and any counter-snapshot writes they force).
+    /// The WAL commit that ends each read round: the flush `write` (and
+    /// any group-commit sync).
     pub wal_ns: AtomicU64,
-    /// Counter accumulation: shard totals plus the window ring.
+    /// The rest of a round's frame loop: counter accumulation (shard
+    /// totals plus the window ring), the buffered WAL append in front of
+    /// it, and any counter snapshot that came due.
     pub accumulate_ns: AtomicU64,
     /// Writing cumulative acks back to clients.
     pub ack_ns: AtomicU64,
-    /// Batch frames profiled.
+    /// Report frames profiled.
     pub batches: AtomicU64,
-    /// Reports inside those batches.
+    /// Reports inside those frames.
     pub reports: AtomicU64,
 }
 
@@ -362,8 +372,8 @@ pub struct IngestProfileSnapshot {
 }
 
 /// One worker's mutable state: its counter shard, its window ring (when
-/// streaming), and its WAL. The mutex is held per report by the owning
-/// worker and briefly by merge-on-demand readers
+/// streaming), and its WAL. The mutex is held per read round by the
+/// owning worker and briefly by merge-on-demand readers
 /// ([`ServerHandle::counts`]), the maintenance thread, and shutdown.
 pub(crate) struct Shard {
     pub(crate) agg: Aggregator,
@@ -375,56 +385,25 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// WAL-then-count ingestion of one validated report. `payload` is the
-    /// exact wire payload (already validated by decode), logged verbatim.
-    pub(crate) fn ingest(&mut self, report: &Report, payload: &[u8]) -> std::io::Result<()> {
-        self.wal.append(payload)?;
-        self.agg.ingest(report);
-        if let Some(ring) = &mut self.ring {
-            ring.ingest(report);
-        }
-        self.since_snapshot += 1;
-        if self.since_snapshot >= self.snapshot_every {
-            self.snapshot()?;
-        }
-        Ok(())
-    }
-
-    /// WAL-then-count ingestion of one validated `TSR4` batch: the whole
-    /// batch payload becomes a single group-commit-aligned WAL record
-    /// (reusing the CRC frame validation already computed), the counters
-    /// are fed column-wise, and the WAL is flushed before returning —
-    /// the caller acks the batch right after, and an acked batch must be
-    /// durable.
-    pub(crate) fn ingest_batch(
+    /// WAL-then-count ingestion of one validated report frame, decoded
+    /// into `batch`: `payload` (CRC-32 `payload_crc`, which the decode
+    /// returned) becomes one buffered WAL record, the counters are fed
+    /// column-wise, and a counter snapshot is written when one is due.
+    /// The record is **not** flushed here — the connection handler
+    /// commits once per read round, before it acks.
+    pub(crate) fn ingest_frame(
         &mut self,
         batch: &ReportBatch,
         payload: &[u8],
         payload_crc: u32,
-        profile: Option<&IngestProfile>,
     ) -> std::io::Result<()> {
-        let t0 = profile.map(|_| Instant::now());
         self.wal.append_with_crc(payload, payload_crc)?;
-        let t1 = profile.map(|_| Instant::now());
-        self.agg.ingest_columnar(batch);
-        if let Some(ring) = &mut self.ring {
-            ring.ingest_batch(batch);
-        }
-        let t2 = profile.map(|_| Instant::now());
+        storage::fold_frame(&mut self.agg, self.ring.as_mut(), batch);
         self.since_snapshot += batch.num_reports() as u64;
         if self.since_snapshot >= self.snapshot_every {
             self.snapshot()?;
         }
-        let flushed = self.wal.flush();
-        if let (Some(p), Some(t0), Some(t1), Some(t2)) = (profile, t0, t1, t2) {
-            // WAL time = append + flush (+ any snapshot the flush rode
-            // with); accumulate time = the counter/ring window between.
-            let wal = t1.duration_since(t0) + t2.elapsed();
-            p.wal_ns.fetch_add(wal.as_nanos() as u64, Ordering::Relaxed);
-            p.accumulate_ns
-                .fetch_add(t2.duration_since(t1).as_nanos() as u64, Ordering::Relaxed);
-        }
-        flushed
+        Ok(())
     }
 
     /// Flushes the WAL and atomically persists the shard counters (and
@@ -546,7 +525,6 @@ impl IngestServer {
         };
 
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let stats = Arc::new(ServerStats::default());
@@ -652,7 +630,6 @@ impl IngestServer {
         let export_addr = match config.export_addr {
             Some(requested) => {
                 let listener = TcpListener::bind(requested)?;
-                listener.set_nonblocking(true)?;
                 let bound = listener.local_addr()?;
                 let base = Arc::clone(&base);
                 let shards = shards.clone();
@@ -879,6 +856,12 @@ impl ServerHandle {
 
     fn stop_threads(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Both listeners block in `accept`; a throwaway connection each
+        // lets them see the flag.
+        wake_acceptor(self.addr);
+        if let Some(export) = self.export_addr {
+            wake_acceptor(export);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

@@ -14,10 +14,11 @@
 //!   recovery.
 //! * `shard-<gen>-<i>.log` — shard `i`'s write-ahead log. Each record is
 //!   `u32` payload length, `u32` CRC-32 of the payload, then the payload
-//!   ([`Report::encode`] bytes, or a whole `TSR4` batch payload — one
-//!   batch frame ingests as one group-commit-aligned record; replay
-//!   dispatches on the payload magic). A torn tail (crash mid-write) is
-//!   detected by the length/CRC pair and cleanly ignored.
+//!   — one accepted report frame's payload, verbatim ([`Report::encode`]
+//!   bytes or a whole `TSR4` batch payload). Replay decodes every record
+//!   into columns and folds it through the same function the live path
+//!   uses. A torn tail (crash mid-write) is detected by the length/CRC
+//!   pair and cleanly ignored.
 //! * `shard-<gen>-<i>.counts` — shard `i`'s periodic counter snapshot:
 //!   `"TSSH"`, `u16` version, `u64` WAL byte offset covered, `u64`
 //!   counts-snapshot length, `u32` header CRC, then the embedded
@@ -373,15 +374,31 @@ pub struct ReplayStats {
     pub torn_tail: bool,
 }
 
+/// The one fold of a frame of reports into a shard's counters. The live
+/// connection path (`Shard::ingest_frame`) and crash recovery
+/// ([`reconstruct`]) both count through these two calls, so a recovered
+/// shard equals the live one by construction.
+pub(crate) fn fold_frame(
+    agg: &mut Aggregator,
+    ring: Option<&mut WindowedAggregator>,
+    batch: &ReportBatch,
+) {
+    agg.ingest_columnar(batch);
+    if let Some(ring) = ring {
+        ring.ingest_batch(batch);
+    }
+}
+
 /// Streams the log at `path`, starting `from` bytes in, invoking
-/// `on_report` per valid record. Stops cleanly at a torn or corrupt tail
-/// — the expected end state after a crash mid-append. A missing file or
-/// an offset at/past EOF replays nothing (both legal: the covering
-/// snapshot already accounts for everything).
-pub fn replay_wal(
+/// `on_frame` with each valid record decoded into columns (a record is
+/// one report frame's payload, whichever kind). Stops cleanly at a torn
+/// or corrupt tail — the expected end state after a crash mid-append. A
+/// missing file or an offset at/past EOF replays nothing (both legal:
+/// the covering snapshot already accounts for everything).
+fn replay_frames(
     path: &Path,
     from: u64,
-    mut on_report: impl FnMut(Report),
+    mut on_frame: impl FnMut(&ReportBatch),
 ) -> std::io::Result<ReplayStats> {
     let file = match File::open(path) {
         Ok(f) => f,
@@ -398,8 +415,6 @@ pub fn replay_wal(
     let mut remaining = len - from;
     let mut header = [0u8; WAL_RECORD_HEADER];
     let mut payload = Vec::new();
-    // Scratch for `TSR4` batch records (one record = one whole batch
-    // payload); reused across records.
     let mut batch = ReportBatch::new();
     loop {
         if remaining < WAL_RECORD_HEADER as u64 {
@@ -417,45 +432,32 @@ pub fn replay_wal(
         }
         payload.resize(plen as usize, 0);
         reader.read_exact(&mut payload)?;
-        if crc32(&payload) != stored_crc {
+        // The decode returns the CRC-32 of the whole payload, so one
+        // pass both validates the frame and checks the record. (A
+        // CRC-valid but undecodable record should not happen — the
+        // server validates before logging; it is a tail to drop rather
+        // than a reason to poison recovery.)
+        if batch.decode_payload_into(&payload) != Ok(stored_crc) {
             stats.torn_tail = true;
             return Ok(stats);
         }
-        // Dispatch on the payload magic: a record is either one report
-        // (TSR2/TSR3) or one whole batch (TSR4), replayed report by
-        // report so recovery's per-report fold is representation-blind.
-        if payload.starts_with(&ReportBatch::MAGIC) {
-            match batch.decode_payload_into(&payload) {
-                Ok(_crc) => {
-                    for report in batch.reports() {
-                        on_report(report);
-                    }
-                    stats.reports += batch.num_reports() as u64;
-                }
-                Err(_) => {
-                    stats.torn_tail = true;
-                    return Ok(stats);
-                }
-            }
-        } else {
-            match Report::decode(&payload) {
-                Ok(report) => {
-                    on_report(report);
-                    stats.reports += 1;
-                }
-                Err(_) => {
-                    // CRC-valid but undecodable should not happen (the
-                    // server validates before logging); treat as a tail
-                    // to drop rather than poisoning recovery.
-                    stats.torn_tail = true;
-                    return Ok(stats);
-                }
-            }
-        }
+        on_frame(&batch);
+        stats.reports += batch.num_reports() as u64;
         let consumed = WAL_RECORD_HEADER as u64 + plen;
         stats.bytes += consumed;
         remaining -= consumed;
     }
+}
+
+/// Row-form view of the same walk: `on_report` sees every logged report
+/// in log order as a heap [`Report`]. For tools and reference folds;
+/// recovery itself stays columnar.
+pub fn replay_wal(
+    path: &Path,
+    from: u64,
+    mut on_report: impl FnMut(Report),
+) -> std::io::Result<ReplayStats> {
+    replay_frames(path, from, |batch| batch.reports().for_each(&mut on_report))
 }
 
 /// Atomically writes shard counters plus the WAL byte offset they cover,
@@ -745,11 +747,8 @@ fn reconstruct(
             _ => None,
         };
         let mut tail = Aggregator::from_region_tiles(region_tiles.to_vec());
-        let stats = replay_wal(&wal_path(dir, gen, shard), covered, |report| {
-            if let Some(ring) = &mut shard_ring {
-                ring.ingest(&report);
-            }
-            tail.ingest(&report);
+        let stats = replay_frames(&wal_path(dir, gen, shard), covered, |batch| {
+            fold_frame(&mut tail, shard_ring.as_mut(), batch)
         })?;
         total.merge(tail.counts());
         if let (Some(ring_total), Some(shard_ring)) = (&mut ring_total, &shard_ring) {
@@ -1120,6 +1119,76 @@ mod tests {
             })
         )
         .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_folds_both_record_kinds_exactly_like_the_row_form_reference() {
+        // One log interleaving `TSR3` and `TSR4` records. The second
+        // batch straddles a window advance and carries a row that is
+        // late by the time the fold reaches it; the last record is a
+        // `TSR4` batch torn mid-write. Recovery's columnar fold must
+        // land exactly where folding the surviving reports one at a
+        // time, in log order, lands — `late()` included.
+        let dir = tmp_dir("mixed-records");
+        let tiles = vec![0u16; 5];
+        let at = |i: u32, t: u64| Report { t, ..toy_report(i) };
+        let records: Vec<Vec<Report>> = vec![
+            vec![at(0, 10)],
+            (1..40).map(|i| at(i, 60 + u64::from(i))).collect(),
+            vec![at(40, 130)],
+            // Window 3, a jump to window 11 (ring span 4: window 3 is
+            // evicted), back to window 3 (late), then window 11 again.
+            vec![at(41, 200), at(42, 660), at(43, 210), at(44, 670)],
+            vec![at(45, 615)],
+            vec![at(46, 5)], // a late single
+            (47..60).map(|i| at(i, 700)).collect(),
+        ];
+        let torn: Vec<Report> = (60..90).map(|i| at(i, 720)).collect();
+
+        let path = wal_path(&dir, 0, 0);
+        let mut wal = WalWriter::create(&path, 4).unwrap();
+        for reports in &records {
+            match reports.as_slice() {
+                [one] => wal.append(&one.encode()).unwrap(),
+                many => wal
+                    .append(&ReportBatch::from_reports(many).unwrap().encode_payload())
+                    .unwrap(),
+            }
+        }
+        let intact = wal.offset();
+        wal.append(&ReportBatch::from_reports(&torn).unwrap().encode_payload())
+            .unwrap();
+        wal.flush().unwrap();
+        let torn_len = wal.offset() - intact;
+        drop(wal);
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(intact + torn_len / 2).unwrap();
+
+        let mut agg = Aggregator::from_region_tiles(tiles.clone());
+        let mut ring = WindowedAggregator::new(tiles.clone(), WINDOW);
+        for r in records.iter().flatten() {
+            agg.ingest(r);
+            ring.ingest(r);
+        }
+        assert!(ring.late() >= 2, "the reference itself must see late rows");
+
+        // The row-form adapter walks the same records in the same order.
+        let mut rows = Vec::new();
+        let stats = replay_wal(&path, 0, |r| rows.push(r)).unwrap();
+        assert_eq!(rows, records.concat());
+        assert_eq!(stats.bytes, intact);
+        assert!(stats.torn_tail);
+
+        let rec = recover(&dir, &tiles, Some(WINDOW)).unwrap();
+        assert_eq!(rec.torn_tails, 1);
+        assert_eq!(rec.replayed_reports, rows.len() as u64);
+        assert_eq!(&rec.counts, agg.counts());
+        let got = rec.ring.unwrap();
+        assert_eq!(got.merged(), ring.merged());
+        assert_eq!(got.late(), ring.late());
+        assert_eq!(got.newest_window(), ring.newest_window());
+        assert_eq!(got.windows(), ring.windows());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,8 +14,8 @@ use trajshare_aggregate::{
     WindowConfig, WindowedAggregator,
 };
 use trajshare_service::{
-    stream_reports, stream_reports_batched, IngestServer, ServerConfig, StreamServerConfig,
-    SyncPolicy,
+    encode_wire, stream_bytes_once, stream_reports, stream_reports_batched, IngestServer,
+    ServerConfig, StreamServerConfig, SyncPolicy,
 };
 
 const REGIONS: usize = 6;
@@ -1131,4 +1131,199 @@ fn hello_to_a_grantless_server_is_a_protocol_violation() {
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_frame_kind_takes_one_path() {
+    let window = WindowConfig {
+        window_len: 60,
+        num_windows: 4,
+    };
+    // Twelve windows of 500 reports; every seventh report is stamped
+    // five windows back, so once the ring has moved on it arrives late.
+    let reports: Vec<Report> = (0..6_000u32)
+        .map(|i| {
+            let w = u64::from(i / 500);
+            let w = if i % 7 == 0 { w.saturating_sub(5) } else { w };
+            toy_report_at(i, w * 60 + u64::from(i % 60))
+        })
+        .collect();
+    let singles = encode_wire(&reports, 1);
+    let batched = encode_wire(&reports, 64);
+    // One connection alternating a `TSR3` frame with `TSR4` frames of up
+    // to five reports.
+    let mut alternating = Vec::new();
+    for chunk in reports.chunks(6) {
+        alternating.extend_from_slice(&encode_wire(&chunk[..1], 1));
+        alternating.extend_from_slice(&encode_wire(&chunk[1..], 5));
+    }
+
+    let mut outcomes = Vec::new();
+    for (tag, wire) in [
+        ("kinds-tsr3", &singles),
+        ("kinds-tsr4", &batched),
+        ("kinds-mixed", &alternating),
+    ] {
+        let (mut cfg, dir) = config(tag);
+        cfg.workers = 1;
+        cfg.profile = true;
+        cfg.stream = Some(StreamServerConfig::new(window, Duration::from_millis(50)));
+        let server = IngestServer::start(cfg.clone()).unwrap();
+        assert_eq!(stream_bytes_once(server.addr(), wire).unwrap(), 6_000);
+        assert_eq!(server.ingest_profile().unwrap().reports, 6_000, "{tag}");
+        let live = (
+            server.counts(),
+            server.windowed_counts().unwrap().encode_ring(),
+        );
+        server.crash();
+        let server2 = IngestServer::start(cfg).unwrap();
+        assert_eq!(server2.recovery().recovered_reports, 6_000, "{tag}");
+        let restored = (
+            server2.counts(),
+            server2.windowed_counts().unwrap().encode_ring(),
+        );
+        server2.crash();
+        let _ = std::fs::remove_dir_all(&dir);
+        outcomes.push((live, restored));
+    }
+    assert_eq!(outcomes[0].0 .0, direct_counts(&reports));
+    assert!(
+        WindowedAggregator::decode_ring(&outcomes[0].0 .1, &[0u16; REGIONS], window)
+            .unwrap()
+            .late()
+            > 0,
+        "the stream must exercise late reports"
+    );
+    assert_eq!(
+        outcomes[0].1 .0, outcomes[0].0 .0,
+        "restart keeps the counts"
+    );
+    assert_eq!(outcomes[1], outcomes[0], "TSR4 only vs TSR3 only");
+    assert_eq!(outcomes[2], outcomes[0], "alternating vs TSR3 only");
+}
+
+/// Reads raw cumulative acks until one reaches `target`.
+fn read_acks_until(stream: &mut TcpStream, target: u64) -> u64 {
+    let mut ack = [0u8; 8];
+    loop {
+        stream.read_exact(&mut ack).unwrap();
+        let acked = u64::from_le_bytes(ack);
+        assert!(acked <= target, "ack {acked} overshoots {target}");
+        if acked == target {
+            return acked;
+        }
+    }
+}
+
+#[test]
+fn a_read_round_is_one_commit() {
+    let (cfg, dir) = config("round-commit");
+    let server = IngestServer::start(cfg).unwrap();
+    // 4 000 one-report `TSR4` frames handed to the kernel in one write:
+    // the server sees them in socket-buffer-sized read rounds and must
+    // commit (and ack) per round, not per frame.
+    let reports: Vec<Report> = (0..4_000).map(toy_report).collect();
+    let mut wire = Vec::new();
+    for r in &reports {
+        ReportBatch::from_reports(std::slice::from_ref(r))
+            .unwrap()
+            .encode_frame_into(&mut wire);
+    }
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(&wire).unwrap();
+    assert_eq!(read_acks_until(&mut stream, 4_000), 4_000);
+    let commits = server.stats().wal_commits.load(Ordering::Relaxed);
+    assert!(
+        (1..=500).contains(&commits),
+        "{commits} commits for 4000 frames"
+    );
+    assert_eq!(server.counts(), direct_counts(&reports));
+    server.crash();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mid_stream_acks_start_with_the_first_batch_frame() {
+    let (cfg, dir) = config("ack-rule");
+    let server = IngestServer::start(cfg).unwrap();
+
+    // A connection of single-report frames only: however many rounds it
+    // takes, exactly one 8-byte ack, at EOF.
+    let reports: Vec<Report> = (0..50_000).map(toy_report).collect();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&encode_wire(&reports, 1)).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut acks = Vec::new();
+    stream.read_to_end(&mut acks).unwrap();
+    assert_eq!(acks, 50_000u64.to_le_bytes());
+    assert!(server.stats().wal_commits.load(Ordering::Relaxed) >= 2);
+
+    // First frame `TSR3`: committed, but not acked mid-stream...
+    let commits = server.stats().wal_commits.load(Ordering::Relaxed);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&toy_report(1).encode_frame()).unwrap();
+    assert!(wait_until(Duration::from_secs(5), || {
+        server.stats().wal_commits.load(Ordering::Relaxed) > commits
+    }));
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut ack = [0u8; 8];
+    assert!(
+        stream.read(&mut ack).is_err(),
+        "a single-frame round must not be acked mid-stream"
+    );
+    // ...cumulative acks start with the first `TSR4` round and then
+    // cover every later round, whichever kind its frames are.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let batch: Vec<Report> = (2..5).map(toy_report).collect();
+    stream.write_all(&encode_wire(&batch, 8)).unwrap();
+    assert_eq!(read_acks_until(&mut stream, 4), 4);
+    stream.write_all(&toy_report(5).encode_frame()).unwrap();
+    assert_eq!(read_acks_until(&mut stream, 5), 5);
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).unwrap();
+    assert_eq!(rest, 5u64.to_le_bytes(), "EOF is the last round");
+    assert_eq!(server.counts().num_reports, 50_005);
+    server.crash();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_server_stops_without_waiting_out_a_poll_tick() {
+    // Both acceptors block in `accept` and are woken by a connection;
+    // best of three, so a scheduling hiccup is not a failure.
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..3 {
+        for (i, graceful) in [true, false].into_iter().enumerate() {
+            let (mut cfg, dir) = config(if graceful {
+                "stop-shutdown"
+            } else {
+                "stop-crash"
+            });
+            cfg.export_addr = Some("127.0.0.1:0".parse().unwrap());
+            let server = IngestServer::start(cfg).unwrap();
+            let t0 = Instant::now();
+            if graceful {
+                server.shutdown().unwrap();
+            } else {
+                server.crash();
+            }
+            best[i] = best[i].min(t0.elapsed());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    assert!(
+        best.iter().all(|&d| d < Duration::from_millis(100)),
+        "shutdown/crash took {best:?}"
+    );
 }
