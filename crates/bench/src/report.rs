@@ -17,33 +17,23 @@ pub struct Reported {
     pub rows: Vec<Vec<String>>,
 }
 
-/// Renders a GitHub-flavored markdown table.
-pub fn markdown_table(headers: &[String], rows: &[Vec<String>]) -> String {
-    let mut s = String::new();
-    s.push_str("| ");
-    s.push_str(&headers.join(" | "));
-    s.push_str(" |\n|");
-    for _ in headers {
-        s.push_str("---|");
-    }
-    s.push('\n');
-    for row in rows {
-        s.push_str("| ");
-        s.push_str(&row.join(" | "));
-        s.push_str(" |\n");
-    }
-    s
-}
-
 impl Reported {
-    /// Markdown rendering with a heading.
+    /// GitHub-flavored markdown table under a heading.
     pub fn to_markdown(&self) -> String {
-        format!(
-            "## {} ({})\n\n{}\n",
-            self.id,
-            self.settings,
-            markdown_table(&self.headers, &self.rows)
-        )
+        let mut s = format!("## {} ({})\n\n| ", self.id, self.settings);
+        s.push_str(&self.headers.join(" | "));
+        s.push_str(" |\n|");
+        for _ in &self.headers {
+            s.push_str("---|");
+        }
+        s.push('\n');
+        for row in &self.rows {
+            s.push_str("| ");
+            s.push_str(&row.join(" | "));
+            s.push_str(" |\n");
+        }
+        s.push('\n');
+        s
     }
 
     /// Prints to stdout.
@@ -55,10 +45,9 @@ impl Reported {
 }
 
 /// The workspace-level `results/` directory, resolved from this crate's
-/// manifest rather than the process CWD — `cargo bench` runs bench
-/// binaries from the package directory while `cargo run` uses the
-/// invocation directory, and result artifacts must land in one place
-/// either way (they are checked in).
+/// manifest rather than the process CWD, so the experiment binaries'
+/// result artifacts land in one place wherever they are invoked from
+/// (they are checked in).
 pub fn results_dir() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }

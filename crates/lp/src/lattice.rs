@@ -13,8 +13,9 @@
 //!   continuity constraints), solved with our simplex + branch & bound.
 //!
 //! The ILP's LP relaxation is a path polytope (totally unimodular), so both
-//! solvers agree; `tests` and `benches/reconstruction.rs` verify and measure
-//! this.
+//! solvers agree; `tests` and the root `tests/reconstruction_equivalence.rs`
+//! verify this, and the benchmark's `core.share_solve_us` layer line
+//! measures the production solve.
 
 use crate::branch_bound::solve_ilp;
 use crate::problem::{LinearProgram, Relation, SolveStatus};

@@ -20,8 +20,8 @@
 //!
 //! `--connect` is repeatable: connections are assigned round-robin
 //! across every given target, which drives N `ingestd` workers directly
-//! — the no-router baseline the cluster soak compares `routerd`
-//! against. `--addr` is a synonym for a single `--connect`.
+//! with no router in front. `--addr` is a synonym for a single
+//! `--connect`.
 //!
 //! Report `i` carries timestamp `t-base + i · t-step` (both default 0),
 //! so a streaming server's window ring can be driven deterministically:

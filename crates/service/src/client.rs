@@ -1,71 +1,40 @@
 //! Client-side streaming: connect, frame, send, await the ack.
 //!
-//! Used by the `loadgen` binary, the `service_ingest` bench, and the
-//! end-to-end tests. The ack protocol makes completion *durable*: the
-//! returned count only covers reports the server has validated, counted,
-//! and flushed to its write-ahead log, so a caller that sees all acks may
-//! kill the server and still expect exact recovery.
+//! Used by the `loadgen` binary and the end-to-end tests (the benchmark
+//! in `benchmark/` drives the same protocol from its own `load.rs`). The
+//! ack protocol makes completion *durable*: the returned count only
+//! covers reports the server has validated, counted, and flushed to its
+//! write-ahead log, so a caller that sees all acks may kill the server
+//! and still expect exact recovery.
 
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use trajshare_aggregate::{
     BatchEncoder, ControlDecoder, ControlFrame, GrantFrame, HelloFrame, Report,
 };
-use trajshare_core::vio;
 
-/// Streams one report slice over a single connection as single-report
-/// frames and returns the server's ack (reports accepted and made
-/// durable) — the one a single-frame connection gets, at EOF.
-pub fn stream_once(addr: SocketAddr, reports: &[Report]) -> std::io::Result<u64> {
-    stream_bytes_once(addr, &encode_wire(reports, 1))
-}
-
-/// Streams `reports` across `connections` parallel connections
-/// (contiguous slices, one thread each) and returns the summed acks.
-/// With a healthy server the sum equals `reports.len()`; a shortfall
-/// means connections were refused (backpressure) or dropped.
+/// Streams `reports` as single-report frames across `connections`
+/// parallel connections (contiguous slices, one thread each) and returns
+/// the summed acks. With a healthy server the sum equals
+/// `reports.len()`; a shortfall means connections were refused
+/// (backpressure) or dropped.
 pub fn stream_reports(
     addr: SocketAddr,
     reports: &[Report],
     connections: usize,
 ) -> std::io::Result<u64> {
-    stream_reports_multi(&[addr], reports, connections)
+    stream_reports_batched(addr, reports, connections, 1)
 }
 
-/// Streams `reports` across `connections` parallel connections spread
-/// round-robin over `addrs` (connection `i` targets `addrs[i % N]`) and
-/// returns the summed acks. With one address this is exactly
-/// [`stream_reports`]; with several it drives N workers directly — the
-/// no-router baseline a cluster soak compares `routerd` against. At
-/// least one connection per address is opened so every target sees
-/// traffic even when `connections < addrs.len()`.
-pub fn stream_reports_multi(
-    addrs: &[SocketAddr],
+/// [`stream_reports`] with `TSR4` batch frames of up to `batch` reports.
+pub fn stream_reports_batched(
+    addr: SocketAddr,
     reports: &[Report],
     connections: usize,
+    batch: usize,
 ) -> std::io::Result<u64> {
-    assert!(!addrs.is_empty(), "need at least one target address");
-    let connections = connections
-        .max(addrs.len())
-        .clamp(1, reports.len().max(1))
-        .max(1);
-    let per = reports.len().div_ceil(connections);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = reports
-            .chunks(per.max(1))
-            .enumerate()
-            .map(|(i, slice)| {
-                let addr = addrs[i % addrs.len()];
-                scope.spawn(move || stream_once(addr, slice))
-            })
-            .collect();
-        let mut total = 0u64;
-        for h in handles {
-            total += h.join().expect("client thread panicked")?;
-        }
-        Ok(total)
-    })
+    stream_wires(&encode_wire_multi(&[addr], reports, connections, batch))
 }
 
 /// Pre-encodes `reports` as wire bytes: `TSR4` batch frames of up to
@@ -90,6 +59,46 @@ pub fn encode_wire(reports: &[Report], batch: usize) -> Vec<u8> {
     out
 }
 
+/// Splits `reports` into one contiguous slice per connection and
+/// pre-encodes each with [`encode_wire`]. Connection `i` targets
+/// `addrs[i % N]`, and at least one connection per address is opened so
+/// every target sees traffic even when `connections < addrs.len()` —
+/// several addresses drive N workers directly, with no router in front.
+/// The returned `(target, wire)` pairs are everything [`stream_wires`]
+/// needs, so `loadgen` encodes first, starts its clock, then streams.
+pub fn encode_wire_multi(
+    addrs: &[SocketAddr],
+    reports: &[Report],
+    connections: usize,
+    batch: usize,
+) -> Vec<(SocketAddr, Vec<u8>)> {
+    assert!(!addrs.is_empty(), "need at least one target address");
+    let connections = connections.max(addrs.len()).min(reports.len().max(1));
+    let per = reports.len().div_ceil(connections).max(1);
+    reports
+        .chunks(per)
+        .enumerate()
+        .map(|(i, slice)| (addrs[i % addrs.len()], encode_wire(slice, batch)))
+        .collect()
+}
+
+/// Streams pre-encoded wires ([`encode_wire_multi`]) in parallel, one
+/// connection and one thread per entry, and returns the summed final
+/// cumulative acks.
+pub fn stream_wires(wires: &[(SocketAddr, Vec<u8>)]) -> std::io::Result<u64> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = wires
+            .iter()
+            .map(|(addr, wire)| scope.spawn(move || stream_bytes_once(*addr, wire)))
+            .collect();
+        let mut total = 0u64;
+        for h in handles {
+            total += h.join().expect("client thread panicked")?;
+        }
+        Ok(total)
+    })
+}
+
 /// Streams pre-encoded wire bytes over one connection, half-closes, and
 /// returns the server's *last* cumulative ack (the total accepted and
 /// durable). Half-closing tells the server "stream complete"; it
@@ -108,148 +117,6 @@ pub fn stream_bytes_once(addr: SocketAddr, wire: &[u8]) -> std::io::Result<u64> 
     }
     stream.shutdown(Shutdown::Write)?;
     acks.read_to_eof(&mut stream)
-}
-
-/// [`stream_once`] with `TSR4` batch frames: one connection, batches of
-/// up to `batch` reports, returns the server's final cumulative ack.
-pub fn stream_once_batched(
-    addr: SocketAddr,
-    reports: &[Report],
-    batch: usize,
-) -> std::io::Result<u64> {
-    stream_bytes_once(addr, &encode_wire(reports, batch))
-}
-
-/// [`stream_reports`] with `TSR4` batch frames.
-pub fn stream_reports_batched(
-    addr: SocketAddr,
-    reports: &[Report],
-    connections: usize,
-    batch: usize,
-) -> std::io::Result<u64> {
-    stream_reports_multi_batched(&[addr], reports, connections, batch)
-}
-
-/// [`stream_reports_multi`] with `TSR4` batch frames: each connection's
-/// slice is pre-encoded once (off the socket), then streamed, taking
-/// the last cumulative ack. `batch <= 1` sends classic single-report
-/// frames (still pre-encoded). Callers that want serialization out of
-/// their timing entirely use [`encode_wire_multi`] + [`stream_wires`]
-/// directly — this is just the two glued together.
-pub fn stream_reports_multi_batched(
-    addrs: &[SocketAddr],
-    reports: &[Report],
-    connections: usize,
-    batch: usize,
-) -> std::io::Result<u64> {
-    stream_wires(&encode_wire_multi(addrs, reports, connections, batch))
-}
-
-/// One pre-encoded wire frame with its 4-byte length prefix kept
-/// separate from the payload — the scatter-gather unit of
-/// [`stream_frames_once`], which hands (prefix, payload) pairs straight
-/// to `write_vectored` without ever concatenating them.
-pub struct EncodedFrame {
-    prefix: [u8; 4],
-    payload: Vec<u8>,
-}
-
-/// Pre-encodes `reports` exactly like [`encode_wire`] but keeps each
-/// frame as its own [`EncodedFrame`] instead of one contiguous byte
-/// run, so the send path can scatter-gather them. The split reuses
-/// [`encode_wire`]'s bytes, so both paths are byte-identical on the
-/// wire by construction.
-pub fn encode_frames(reports: &[Report], batch: usize) -> Vec<EncodedFrame> {
-    let wire = encode_wire(reports, batch);
-    let mut frames = Vec::new();
-    let mut i = 0;
-    while i < wire.len() {
-        let prefix: [u8; 4] = wire[i..i + 4].try_into().unwrap();
-        let len = u32::from_le_bytes(prefix) as usize;
-        frames.push(EncodedFrame {
-            prefix,
-            payload: wire[i + 4..i + 4 + len].to_vec(),
-        });
-        i += 4 + len;
-    }
-    frames
-}
-
-/// Streams pre-encoded frames over one connection with vectored writes
-/// — each syscall gathers whole (prefix, payload) pairs up to an iovec
-/// and byte budget — half-closes, and returns the server's last
-/// cumulative ack. Wire bytes and ack handling are identical to
-/// [`stream_bytes_once`]; only the syscall shape differs (no
-/// concatenated send buffer is ever built).
-pub fn stream_frames_once(addr: SocketAddr, frames: &[EncodedFrame]) -> std::io::Result<u64> {
-    // writev caps: stay well under IOV_MAX (1024 on Linux) and keep
-    // rounds around the same ~256 KiB granularity as the contiguous
-    // path so ack drains stay as frequent.
-    const MAX_IOVECS: usize = 1024;
-    const GROUP_BYTES: usize = 256 * 1024;
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    let mut acks = AckReader::default();
-    let mut i = 0;
-    while i < frames.len() {
-        let mut io: Vec<IoSlice> = Vec::with_capacity(64);
-        let mut bytes = 0usize;
-        while i < frames.len() && io.len() + 2 <= MAX_IOVECS && bytes < GROUP_BYTES {
-            let f = &frames[i];
-            io.push(IoSlice::new(&f.prefix));
-            io.push(IoSlice::new(&f.payload));
-            bytes += 4 + f.payload.len();
-            i += 1;
-        }
-        vio::write_all_vectored(&mut stream, &mut io)?;
-        acks.drain_nonblocking(&mut stream)?;
-    }
-    stream.shutdown(Shutdown::Write)?;
-    acks.read_to_eof(&mut stream)
-}
-
-/// Splits `reports` into one contiguous slice per connection (round-
-/// robin over `addrs`, at least one connection per address) and
-/// pre-encodes each slice into [`EncodedFrame`]s. The returned
-/// `(target, frames)` pairs are everything [`stream_wires`] needs, so
-/// the one-time serialization cost is fully separated from the send
-/// path — `loadgen` and the ingest bench encode first, start the
-/// clock, then stream.
-pub fn encode_wire_multi(
-    addrs: &[SocketAddr],
-    reports: &[Report],
-    connections: usize,
-    batch: usize,
-) -> Vec<(SocketAddr, Vec<EncodedFrame>)> {
-    assert!(!addrs.is_empty(), "need at least one target address");
-    let connections = connections
-        .max(addrs.len())
-        .clamp(1, reports.len().max(1))
-        .max(1);
-    let per = reports.len().div_ceil(connections);
-    reports
-        .chunks(per.max(1))
-        .enumerate()
-        .map(|(i, slice)| (addrs[i % addrs.len()], encode_frames(slice, batch)))
-        .collect()
-}
-
-/// Streams pre-encoded wires ([`encode_wire_multi`]) in parallel, one
-/// connection per entry (scatter-gather writes —
-/// [`stream_frames_once`]), and returns the summed final cumulative
-/// acks.
-pub fn stream_wires(wires: &[(SocketAddr, Vec<EncodedFrame>)]) -> std::io::Result<u64> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = wires
-            .iter()
-            .map(|(addr, frames)| scope.spawn(move || stream_frames_once(*addr, frames)))
-            .collect();
-        let mut total = 0u64;
-        for h in handles {
-            total += h.join().expect("client thread panicked")?;
-        }
-        Ok(total)
-    })
 }
 
 /// A grant-session connection: the closed-loop client side of the
@@ -520,5 +387,85 @@ impl AckReader {
             ));
         }
         Ok(self.last)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use trajshare_aggregate::{ReportBatch, StreamDecoder, WireFrame};
+
+    /// Mixed (ε′, |τ|) keys in runs of five, so batch frames flush both
+    /// on key changes and on the `batch` cap.
+    fn toy_reports(n: u64) -> Vec<Report> {
+        (0..n)
+            .map(|i| {
+                let len = 2 + (i / 5 % 3) as u16;
+                let unigrams: Vec<(u16, u32)> = (0..len)
+                    .map(|p| (p, (i as u32 * 7 + p as u32) % 40))
+                    .collect();
+                Report {
+                    t: 100 + i,
+                    eps_prime: if i / 5 % 2 == 0 { 0.75 } else { 1.5 },
+                    len,
+                    exact: unigrams.clone(),
+                    transitions: unigrams.windows(2).map(|w| (w[0].1, w[1].1)).collect(),
+                    unigrams,
+                }
+            })
+            .collect()
+    }
+
+    fn decode(wire: &[u8]) -> Vec<Report> {
+        let mut dec = StreamDecoder::new();
+        dec.extend(wire);
+        let mut scratch = ReportBatch::new();
+        let mut got = Vec::new();
+        while let Some(frame) = dec.next_wire_frame().unwrap() {
+            let WireFrame::Reports { payload, .. } = frame else {
+                panic!("no hello on a report wire");
+            };
+            scratch.decode_payload_into(payload).unwrap();
+            got.extend(scratch.reports());
+        }
+        assert_eq!(dec.pending(), 0);
+        got
+    }
+
+    #[test]
+    fn partitioned_wires_carry_every_report_in_order_to_every_address() {
+        let reports = toy_reports(50);
+        let addrs: Vec<SocketAddr> = (1..=3)
+            .map(|p| format!("127.0.0.1:{p}").parse().unwrap())
+            .collect();
+        for connections in [1, 3, reports.len() + 5] {
+            for addrs in [&addrs[..1], &addrs[..]] {
+                for batch in [1, 256] {
+                    let wires = encode_wire_multi(addrs, &reports, connections, batch);
+                    let case = format!("{connections} conns, {} addrs, batch {batch}", addrs.len());
+                    for (i, (addr, _)) in wires.iter().enumerate() {
+                        assert_eq!(*addr, addrs[i % addrs.len()], "{case}");
+                    }
+                    assert!(wires.len() >= addrs.len(), "an address got no wire: {case}");
+                    assert!(wires.len() >= connections.min(reports.len()), "{case}");
+                    let joined: Vec<u8> = wires.iter().flat_map(|(_, w)| w).copied().collect();
+                    assert_eq!(decode(&joined), reports, "{case}");
+                    if connections == 1 && addrs.len() == 1 {
+                        assert_eq!(wires[0].1, encode_wire(&reports, batch), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_slice_opens_no_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        assert_eq!(stream_reports(addr, &[], 4).unwrap(), 0);
+        let pending = listener.accept().map(|_| ()).unwrap_err();
+        assert_eq!(pending.kind(), std::io::ErrorKind::WouldBlock);
     }
 }

@@ -18,8 +18,8 @@
 //!   per-shard counter + ring files, the generation manifest, and
 //!   snapshot + log-tail recovery that restores totals *and* the window
 //!   ring bit-identically.
-//! * [`client`] — the streaming client used by `loadgen`, benches, and
-//!   tests; its ack protocol certifies durability, not just delivery.
+//! * [`client`] — the streaming client used by `loadgen` and tests; its
+//!   ack protocol certifies durability, not just delivery.
 //!
 //! Binaries: `ingestd` (the server; `--dump-counts` prints a recovered
 //! state fingerprint) and `loadgen` (deterministic report generator +
@@ -33,9 +33,8 @@ pub mod server;
 pub mod storage;
 
 pub use client::{
-    encode_frames, encode_wire, encode_wire_multi, stream_bytes_once, stream_frames_once,
-    stream_once, stream_once_batched, stream_reports, stream_reports_batched, stream_reports_multi,
-    stream_reports_multi_batched, stream_wires, EncodedFrame, GrantClient,
+    encode_wire, encode_wire_multi, stream_bytes_once, stream_reports, stream_reports_batched,
+    stream_wires, GrantClient,
 };
 pub use server::{
     BudgetPublication, CountsSummary, IngestProfile, IngestProfileSnapshot, IngestServer,

@@ -9,7 +9,10 @@
 //! node's float-for-float (same counts, same deterministic estimator).
 //! A fourth node ingests the identical stream over `TSR4` batch frames
 //! and must land on the same counts, ring bytes, and model floats —
-//! the batched path is an encoding, not a different aggregation.
+//! the batched path is an encoding, not a different aggregation. A
+//! direct topology — clients partitioned across two further workers with
+//! no router, one coordinator over both — must merge to the same
+//! fingerprints too.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,7 +26,8 @@ use trajshare_datagen::{
 use trajshare_hierarchy::builders::foursquare;
 use trajshare_model::{Dataset, TrajectorySet};
 use trajshare_service::{
-    stream_reports, stream_reports_batched, IngestServer, ServerConfig, StreamServerConfig,
+    encode_wire_multi, stream_reports, stream_reports_batched, stream_wires, IngestServer,
+    ServerConfig, StreamServerConfig,
 };
 
 const NUM_USERS: usize = 4_000;
@@ -182,6 +186,35 @@ fn routed_two_worker_cluster_merges_bit_identical_to_single_node() {
     assert_eq!(model_batched.transition, model_single.transition);
     let _ = batched.shutdown();
     let _ = std::fs::remove_dir_all(&dir_q);
+
+    // Direct topology: the client partitions the stream across two
+    // workers itself (connections alternate between the addresses), and
+    // a coordinator over both must land on the single node's bits.
+    let (cfg_c, dir_c) = node_config(tiles.clone(), "direct-c");
+    let (cfg_d, dir_d) = node_config(tiles.clone(), "direct-d");
+    let c = IngestServer::start(cfg_c).unwrap();
+    let d = IngestServer::start(cfg_d).unwrap();
+    let wires = encode_wire_multi(&[c.addr(), d.addr()], &reports, 8, 1);
+    assert_eq!(stream_wires(&wires).unwrap(), n);
+    let (nc, nd) = (c.counts().num_reports, d.counts().num_reports);
+    assert!(nc > 0 && nd > 0, "degenerate partition: {nc}/{nd}");
+    let mut dcfg = CoordConfig::new(
+        vec![c.export_addr().unwrap(), d.export_addr().unwrap()],
+        tiles.clone(),
+    );
+    dcfg.window = Some(WINDOW);
+    let direct = Coordinator::new(dcfg).tick();
+    assert_eq!((direct.workers_up, direct.workers_total), (2, 2));
+    assert_eq!(direct.merged_reports, n);
+    assert_eq!(direct.counts_crc32, snapshot_fingerprint(&single_counts));
+    assert_eq!(
+        direct.ring_crc32.unwrap(),
+        snapshot_fingerprint(single_ring.merged())
+    );
+    let _ = (c.shutdown(), d.shutdown());
+    for dir in [dir_c, dir_d] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     // Kill worker A without a clean shutdown; the coordinator keeps
     // publishing the cached snapshot (stale is conservative — nothing

@@ -143,8 +143,9 @@ fn all_backends_drive_the_full_pipeline_to_valid_synthesis() {
 fn backend_choice_flips_estimation_cost_not_correctness() {
     // A coarse end-to-end sanity on the speed claim at a modest |R|:
     // the sparse model must never be *slower* than dense on the same
-    // counters once the universe is non-trivial. (The quantitative ≥5×
-    // claim lives in the criterion bench where it belongs.)
+    // counters once the universe is non-trivial. (The quantitative
+    // claim is the benchmark's `aggregate.estimate.iter_us.*` lines and
+    // the frozen `results/bench_estimate_backends.json` sweep.)
     let (dataset, real) = world();
     let mech = NGramMechanism::build(&dataset, &MechanismConfig::default().with_epsilon(4.0));
     let reports = collect_reports(&mech, &real, 31);
