@@ -47,8 +47,8 @@
 
 use crate::estimate::{ibu_frequencies, EmChannel};
 use crate::ingest::AggregateCounts;
-use crate::snapshot::{crc32, SnapshotError};
 use std::collections::VecDeque;
+use trajshare_core::blob::{open, BlobError, Sealer};
 use trajshare_core::RegionGraph;
 
 /// Nano-ε per ε — the integer grid shared with the report wire format.
@@ -683,146 +683,83 @@ impl WindowBudgetAccountant {
     pub const VERSION: u16 = 2;
 
     /// Serializes the ledger (config, decided watermark, horizon
-    /// entries, lifetime stats) into a self-validating blob with a
-    /// trailing CRC-32 — what the ingestion service persists next to the
-    /// window ring so the `w`-window invariant survives kill/restart.
+    /// entries, lifetime stats, grant history) into a sealed blob — what
+    /// the ingestion service persists next to the window ring so the
+    /// `w`-window invariant survives kill/restart.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&Self::MAGIC);
-        out.extend_from_slice(&Self::VERSION.to_le_bytes());
-        out.extend_from_slice(&self.config.total_nano.to_le_bytes());
-        out.extend_from_slice(&(self.config.horizon as u64).to_le_bytes());
-        match self.config.policy {
-            AllocationPolicy::Uniform => {
-                out.push(0);
-                out.extend_from_slice(&0f64.to_le_bytes());
-                out.extend_from_slice(&0f64.to_le_bytes());
-            }
-            AllocationPolicy::Adaptive { gain, threshold } => {
-                out.push(1);
-                out.extend_from_slice(&gain.to_le_bytes());
-                out.extend_from_slice(&threshold.to_le_bytes());
-            }
-        }
-        match self.decided {
-            Some(d) => {
-                out.push(1);
-                out.extend_from_slice(&d.to_le_bytes());
-            }
-            None => {
-                out.push(0);
-                out.extend_from_slice(&0u64.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&self.lifetime_granted_nano.to_le_bytes());
-        out.extend_from_slice(&self.lifetime_spent_nano.to_le_bytes());
-        out.extend_from_slice(&self.refused_windows.to_le_bytes());
-        out.extend_from_slice(&(self.ledger.len() as u64).to_le_bytes());
+        let body = 90 + 25 * self.ledger.len() + 33 * self.history.len();
+        let mut s = Sealer::new(Self::MAGIC, Self::VERSION, body);
+        s.u64(self.config.total_nano);
+        s.u64(self.config.horizon as u64);
+        let (tag, gain, threshold) = match self.config.policy {
+            AllocationPolicy::Uniform => (0, 0.0, 0.0),
+            AllocationPolicy::Adaptive { gain, threshold } => (1, gain, threshold),
+        };
+        s.u8(tag).f64(gain).f64(threshold);
+        s.u8(self.decided.is_some() as u8);
+        s.u64(self.decided.unwrap_or(0));
+        s.u64(self.lifetime_granted_nano);
+        s.u64(self.lifetime_spent_nano);
+        s.u64(self.refused_windows);
+        s.u64(self.ledger.len() as u64);
         for d in &self.ledger {
-            out.extend_from_slice(&d.window.to_le_bytes());
-            out.extend_from_slice(&d.granted_nano.to_le_bytes());
-            out.extend_from_slice(&d.spent_nano.to_le_bytes());
-            out.push(d.refused as u8);
+            s.u64(d.window).u64(d.granted_nano).u64(d.spent_nano);
+            s.u8(d.refused as u8);
         }
-        // Allocation epoch + grant history.
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.history.len() as u64).to_le_bytes());
+        s.u64(self.epoch).u64(self.history.len() as u64);
         for r in &self.history {
-            out.extend_from_slice(&r.window.to_le_bytes());
-            out.extend_from_slice(&r.epoch.to_le_bytes());
-            out.extend_from_slice(&r.granted_nano.to_le_bytes());
-            out.extend_from_slice(&r.settled_nano.to_le_bytes());
-            out.push(r.refused as u8);
+            s.u64(r.window)
+                .u64(r.epoch)
+                .u64(r.granted_nano)
+                .u64(r.settled_nano);
+            s.u8(r.refused as u8);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        s.seal()
     }
 
     /// Decodes [`WindowBudgetAccountant::encode`] output, refusing
     /// corruption and internal inconsistency (spend above grant,
     /// non-ascending ids, entries outside the horizon) rather than
     /// restoring a ledger that could over-grant.
-    pub fn decode(buf: &[u8]) -> Result<WindowBudgetAccountant, SnapshotError> {
-        const HEADER: usize = 4 + 2 + 8 + 8 + (1 + 8 + 8) + (1 + 8) + 8 + 8 + 8 + 8;
-        if buf.len() < HEADER + 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
-        if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-            return Err(SnapshotError::BadCrc);
-        }
-        if payload[0..4] != Self::MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-        if version != Self::VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let mut off = 6;
-        let take_u64 = |off: &mut usize| -> Result<u64, SnapshotError> {
-            if payload.len() < *off + 8 {
-                return Err(SnapshotError::Truncated);
-            }
-            let v = u64::from_le_bytes(payload[*off..*off + 8].try_into().unwrap());
-            *off += 8;
-            Ok(v)
+    pub fn decode(buf: &[u8]) -> Result<WindowBudgetAccountant, BlobError> {
+        let mut r = open(buf, Self::MAGIC, Self::VERSION)?;
+        let flag = |b: u8| match b {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(BlobError::Inconsistent("flag byte not 0/1")),
         };
-        let take_u8 = |off: &mut usize| -> Result<u8, SnapshotError> {
-            if payload.len() < *off + 1 {
-                return Err(SnapshotError::Truncated);
-            }
-            let v = payload[*off];
-            *off += 1;
-            Ok(v)
-        };
-        let total_nano = take_u64(&mut off)?;
-        let horizon = take_u64(&mut off)? as usize;
+        let total_nano = r.u64()?;
+        let horizon = r.u64()?;
         if total_nano == 0 || horizon == 0 {
-            return Err(SnapshotError::Inconsistent);
+            return Err(BlobError::Inconsistent("zero budget or horizon"));
         }
-        let policy_tag = take_u8(&mut off)?;
-        let gain = f64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
-        off += 8;
-        let threshold = f64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
-        off += 8;
-        let policy = match policy_tag {
-            0 => AllocationPolicy::Uniform,
-            1 if gain.is_finite() && threshold.is_finite() => {
+        let (adaptive, gain, threshold) = (flag(r.u8()?)?, r.f64()?, r.f64()?);
+        let policy = match adaptive {
+            false => AllocationPolicy::Uniform,
+            true if gain.is_finite() && threshold.is_finite() => {
                 AllocationPolicy::Adaptive { gain, threshold }
             }
-            _ => return Err(SnapshotError::Inconsistent),
+            true => return Err(BlobError::Inconsistent("non-finite policy")),
         };
-        let has_decided = take_u8(&mut off)?;
-        let decided_raw = take_u64(&mut off)?;
-        let decided = match has_decided {
-            0 => None,
-            1 => Some(decided_raw),
-            _ => return Err(SnapshotError::Inconsistent),
-        };
-        let lifetime_granted_nano = take_u64(&mut off)?;
-        let lifetime_spent_nano = take_u64(&mut off)?;
-        let refused_windows = take_u64(&mut off)?;
-        let n = take_u64(&mut off)? as usize;
-        if n > horizon {
-            return Err(SnapshotError::Inconsistent);
-        }
+        let (has_decided, decided_raw) = (flag(r.u8()?)?, r.u64()?);
+        let decided = has_decided.then_some(decided_raw);
+        let lifetime_granted_nano = r.u64()?;
+        let lifetime_spent_nano = r.u64()?;
+        let refused_windows = r.u64()?;
+        let n = r.count(horizon, 25)?;
         let mut ledger = VecDeque::with_capacity(n);
-        let mut prev: Option<u64> = None;
         for _ in 0..n {
-            let window = take_u64(&mut off)?;
-            let granted_nano = take_u64(&mut off)?;
-            let spent_nano = take_u64(&mut off)?;
-            let refused = match take_u8(&mut off)? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotError::Inconsistent),
-            };
-            let in_horizon = decided.is_some_and(|d| window <= d && d - window < horizon as u64);
-            if spent_nano > granted_nano || prev.is_some_and(|p| window <= p) || !in_horizon {
-                return Err(SnapshotError::Inconsistent);
+            let (window, granted_nano, spent_nano) = (r.u64()?, r.u64()?, r.u64()?);
+            let refused = flag(r.u8()?)?;
+            let in_horizon = decided.is_some_and(|d| window <= d && d - window < horizon);
+            let ascending = ledger
+                .back()
+                .is_none_or(|p: &WindowDecision| window > p.window);
+            if spent_nano > granted_nano || !ascending || !in_horizon {
+                return Err(BlobError::Inconsistent(
+                    "ledger entry out of order or range",
+                ));
             }
-            prev = Some(window);
             ledger.push_back(WindowDecision {
                 window,
                 granted_nano,
@@ -830,29 +767,21 @@ impl WindowBudgetAccountant {
                 refused,
             });
         }
-        let epoch = take_u64(&mut off)?;
-        let hn = take_u64(&mut off)? as usize;
-        if hn > Self::GRANT_HISTORY_CAP {
-            return Err(SnapshotError::Inconsistent);
-        }
+        let epoch = r.u64()?;
+        let hn = r.count(Self::GRANT_HISTORY_CAP as u64, 33)?;
         let mut history = VecDeque::with_capacity(hn);
-        let mut prev_w: Option<u64> = None;
         for _ in 0..hn {
-            let window = take_u64(&mut off)?;
-            let r_epoch = take_u64(&mut off)?;
-            let granted_nano = take_u64(&mut off)?;
-            let settled_nano = take_u64(&mut off)?;
-            let refused = match take_u8(&mut off)? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotError::Inconsistent),
-            };
+            let (window, r_epoch) = (r.u64()?, r.u64()?);
+            let (granted_nano, settled_nano) = (r.u64()?, r.u64()?);
+            let refused = flag(r.u8()?)?;
             // History is append-ordered by (monotonic) allocation,
             // and settlement only clamps within the grant.
-            if settled_nano > granted_nano || prev_w.is_some_and(|p| window <= p) {
-                return Err(SnapshotError::Inconsistent);
+            let ascending = history
+                .back()
+                .is_none_or(|p: &GrantRecord| window > p.window);
+            if settled_nano > granted_nano || !ascending {
+                return Err(BlobError::Inconsistent("history entry out of order"));
             }
-            prev_w = Some(window);
             history.push_back(GrantRecord {
                 window,
                 epoch: r_epoch,
@@ -861,13 +790,11 @@ impl WindowBudgetAccountant {
                 refused,
             });
         }
-        if off != payload.len() {
-            return Err(SnapshotError::Inconsistent);
-        }
+        r.finish()?;
         let acct = WindowBudgetAccountant {
             config: WindowBudgetConfig {
                 total_nano,
-                horizon,
+                horizon: horizon as usize,
                 policy,
             },
             ledger,
@@ -881,7 +808,7 @@ impl WindowBudgetAccountant {
         // Final gate: a ledger whose horizon already over-spends must
         // never be restored.
         if acct.sliding_spend_nano() > total_nano {
-            return Err(SnapshotError::Inconsistent);
+            return Err(BlobError::Inconsistent("horizon over-spent"));
         }
         Ok(acct)
     }
@@ -890,6 +817,7 @@ impl WindowBudgetAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::crc32;
     use proptest::prelude::*;
 
     fn cfg(total: u64, horizon: usize, policy: AllocationPolicy) -> WindowBudgetConfig {
@@ -1140,7 +1068,7 @@ mod tests {
         v1.extend_from_slice(&crc32(&v1).to_le_bytes());
         assert_eq!(
             WindowBudgetAccountant::decode(&v1),
-            Err(SnapshotError::UnsupportedVersion(1))
+            Err(BlobError::UnsupportedVersion(1))
         );
         // A hand-built over-spent ledger is refused even with a valid CRC.
         let mut evil = WindowBudgetAccountant::new(cfg(100, 2, AllocationPolicy::Uniform));

@@ -12,13 +12,12 @@
 //! blobs verbatim — the cluster protocol adds framing and identity
 //! (epoch, watermark), never a second serialization of the counters.
 //!
-//! Frame layout (all integers little-endian):
+//! On the socket each frame is a `u32` payload length (≤
+//! [`MAX_CLUSTER_FRAME_LEN`]) followed by the payload, a sealed blob
+//! (magic, version, body, CRC-32 — see [`trajshare_core::blob`]). Body
+//! of `TSCL` version 1 (all integers little-endian):
 //!
 //! ```text
-//! u32 payload length      4 bytes   (socket framing, ≤ MAX_CLUSTER_FRAME_LEN)
-//! -- payload --
-//! magic "TSCL"            4 bytes
-//! version                 u16   (currently 1)
 //! kind                    u8    (0 = SnapshotPull, 1 = Snapshot,
 //!                                2 = GrantAnnounce)
 //! [GrantAnnounce only]
@@ -38,20 +37,17 @@
 //!                                decode the snapshot)
 //!   counts length         u64   · TSC1 blob (embedded verbatim)
 //!   ring flag             u8    · if 1: ring length u64 · TSWR blob
-//! crc32                   u32   (IEEE, over every preceding payload byte)
 //! ```
 //!
-//! Like every other blob in the workspace the frame is self-validating:
-//! magic, version, exact size accounting against hostile length fields
-//! (checked arithmetic — a forged `counts length` cannot overflow or
-//! over-allocate), and a trailing CRC-32. The embedded blobs then
-//! re-validate themselves on decode, so a corrupt snapshot is refused
-//! twice before a single counter is trusted.
+//! Every length field is checked against the bytes actually held (a
+//! forged `counts length` cannot overflow or over-allocate), and the
+//! embedded blobs re-validate themselves on decode, so a corrupt
+//! snapshot is refused twice before a single counter is trusted.
 
 use crate::ingest::AggregateCounts;
-use crate::snapshot::{crc32, SnapshotError};
 use crate::stream::{WindowConfig, WindowedAggregator};
 use std::io::{Read, Write};
+use trajshare_core::blob::{open, BlobError, Reader, Sealer};
 
 /// Cluster frame magic ("TrajShare CLuster").
 pub const CLUSTER_MAGIC: [u8; 4] = *b"TSCL";
@@ -64,9 +60,6 @@ pub const CLUSTER_VERSION: u16 = 1;
 /// u64s — generous headroom for real universes while keeping a hostile
 /// length prefix from sizing a giant allocation.
 pub const MAX_CLUSTER_FRAME_LEN: usize = 256 * 1024 * 1024;
-
-/// Fixed bytes of any payload: magic + version + kind.
-const FRAME_HEADER_LEN: usize = 4 + 2 + 1;
 
 const KIND_SNAPSHOT_PULL: u8 = 0;
 const KIND_SNAPSHOT: u8 = 1;
@@ -100,7 +93,7 @@ pub struct WorkerSnapshot {
 
 impl WorkerSnapshot {
     /// Decodes the embedded counts blob (CRC + universe validated).
-    pub fn decode_counts(&self) -> Result<AggregateCounts, SnapshotError> {
+    pub fn decode_counts(&self) -> Result<AggregateCounts, BlobError> {
         AggregateCounts::decode_snapshot(&self.counts)
     }
 
@@ -112,7 +105,7 @@ impl WorkerSnapshot {
         &self,
         region_tile: &[u16],
         config: WindowConfig,
-    ) -> Result<Option<WindowedAggregator>, SnapshotError> {
+    ) -> Result<Option<WindowedAggregator>, BlobError> {
         self.ring
             .as_deref()
             .map(|blob| WindowedAggregator::decode_ring(blob, region_tile, config))
@@ -140,131 +133,68 @@ pub enum ClusterFrame {
 /// Encodes one frame's *payload* (everything after the u32 length
 /// prefix, including the trailing CRC).
 pub fn encode_cluster_frame(frame: &ClusterFrame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        FRAME_HEADER_LEN
-            + 4
-            + match frame {
-                ClusterFrame::SnapshotPull => 0,
-                ClusterFrame::GrantAnnounce(_) => 3 * 8,
-                ClusterFrame::Snapshot(s) => {
-                    3 * 8 + 8 + s.counts.len() + 1 + s.ring.as_ref().map_or(0, |r| 8 + r.len())
-                }
-            },
-    );
-    out.extend_from_slice(&CLUSTER_MAGIC);
-    out.extend_from_slice(&CLUSTER_VERSION.to_le_bytes());
-    match frame {
-        ClusterFrame::SnapshotPull => out.push(KIND_SNAPSHOT_PULL),
-        ClusterFrame::GrantAnnounce(g) => {
-            out.push(KIND_GRANT_ANNOUNCE);
-            out.extend_from_slice(&g.epoch.to_le_bytes());
-            out.extend_from_slice(&g.window.to_le_bytes());
-            out.extend_from_slice(&g.granted_nano.to_le_bytes());
-        }
+    let body = match frame {
+        ClusterFrame::SnapshotPull => 1,
+        ClusterFrame::GrantAnnounce(_) => 1 + 3 * 8,
         ClusterFrame::Snapshot(s) => {
-            out.push(KIND_SNAPSHOT);
-            out.extend_from_slice(&s.epoch.to_le_bytes());
-            out.extend_from_slice(&s.watermark.to_le_bytes());
-            out.extend_from_slice(&s.reports.to_le_bytes());
-            out.extend_from_slice(&(s.counts.len() as u64).to_le_bytes());
-            out.extend_from_slice(&s.counts);
+            1 + 4 * 8 + s.counts.len() + 1 + s.ring.as_ref().map_or(0, |r| 8 + r.len())
+        }
+    };
+    let mut out = Sealer::new(CLUSTER_MAGIC, CLUSTER_VERSION, body);
+    match frame {
+        ClusterFrame::SnapshotPull => out.u8(KIND_SNAPSHOT_PULL),
+        ClusterFrame::GrantAnnounce(g) => out
+            .u8(KIND_GRANT_ANNOUNCE)
+            .u64(g.epoch)
+            .u64(g.window)
+            .u64(g.granted_nano),
+        ClusterFrame::Snapshot(s) => {
+            out.u8(KIND_SNAPSHOT)
+                .u64(s.epoch)
+                .u64(s.watermark)
+                .u64(s.reports);
+            out.u64(s.counts.len() as u64).bytes(&s.counts);
             match &s.ring {
-                None => out.push(0),
-                Some(ring) => {
-                    out.push(1);
-                    out.extend_from_slice(&(ring.len() as u64).to_le_bytes());
-                    out.extend_from_slice(ring);
-                }
+                None => out.u8(0),
+                Some(ring) => out.u8(1).u64(ring.len() as u64).bytes(ring),
             }
         }
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    };
+    out.seal()
 }
 
-/// Reads `n` bytes at `*off` if the payload holds them, advancing.
-fn take<'a>(payload: &'a [u8], off: &mut usize, n: usize) -> Result<&'a [u8], SnapshotError> {
-    let end = off.checked_add(n).ok_or(SnapshotError::Inconsistent)?;
-    if payload.len() < end {
-        return Err(SnapshotError::Truncated);
-    }
-    let s = &payload[*off..end];
-    *off = end;
-    Ok(s)
-}
-
-fn take_u64(payload: &[u8], off: &mut usize) -> Result<u64, SnapshotError> {
-    Ok(u64::from_le_bytes(
-        take(payload, off, 8)?.try_into().unwrap(),
-    ))
+/// Takes one `u64`-length-prefixed embedded blob.
+fn embedded(r: &mut Reader<'_>) -> Result<Vec<u8>, BlobError> {
+    let len = r.count(u64::MAX, 1)?;
+    Ok(r.bytes(len)?.to_vec())
 }
 
 /// Decodes one frame payload (the bytes after the u32 length prefix).
 /// Every length field is validated against the buffer actually held
 /// before anything is sliced; trailing garbage is refused.
-pub fn decode_cluster_frame(buf: &[u8]) -> Result<ClusterFrame, SnapshotError> {
-    if buf.len() < FRAME_HEADER_LEN + 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
-    if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-        return Err(SnapshotError::BadCrc);
-    }
-    if payload[0..4] != CLUSTER_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-    if version != CLUSTER_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let kind = payload[6];
-    let mut off = FRAME_HEADER_LEN;
-    let frame = match kind {
+pub fn decode_cluster_frame(buf: &[u8]) -> Result<ClusterFrame, BlobError> {
+    let mut r = open(buf, CLUSTER_MAGIC, CLUSTER_VERSION)?;
+    let frame = match r.u8()? {
         KIND_SNAPSHOT_PULL => ClusterFrame::SnapshotPull,
-        KIND_GRANT_ANNOUNCE => {
-            let epoch = take_u64(payload, &mut off)?;
-            let window = take_u64(payload, &mut off)?;
-            let granted_nano = take_u64(payload, &mut off)?;
-            ClusterFrame::GrantAnnounce(crate::grant::GrantFrame {
-                epoch,
-                window,
-                granted_nano,
-            })
-        }
-        KIND_SNAPSHOT => {
-            let epoch = take_u64(payload, &mut off)?;
-            let watermark = take_u64(payload, &mut off)?;
-            let reports = take_u64(payload, &mut off)?;
-            let counts_len = take_u64(payload, &mut off)?;
-            if counts_len > payload.len() as u64 {
-                return Err(SnapshotError::Inconsistent);
-            }
-            let counts = take(payload, &mut off, counts_len as usize)?.to_vec();
-            let ring = match take(payload, &mut off, 1)?[0] {
+        KIND_GRANT_ANNOUNCE => ClusterFrame::GrantAnnounce(crate::grant::GrantFrame {
+            epoch: r.u64()?,
+            window: r.u64()?,
+            granted_nano: r.u64()?,
+        }),
+        KIND_SNAPSHOT => ClusterFrame::Snapshot(WorkerSnapshot {
+            epoch: r.u64()?,
+            watermark: r.u64()?,
+            reports: r.u64()?,
+            counts: embedded(&mut r)?,
+            ring: match r.u8()? {
                 0 => None,
-                1 => {
-                    let ring_len = take_u64(payload, &mut off)?;
-                    if ring_len > payload.len() as u64 {
-                        return Err(SnapshotError::Inconsistent);
-                    }
-                    Some(take(payload, &mut off, ring_len as usize)?.to_vec())
-                }
-                _ => return Err(SnapshotError::Inconsistent),
-            };
-            ClusterFrame::Snapshot(WorkerSnapshot {
-                epoch,
-                watermark,
-                reports,
-                counts,
-                ring,
-            })
-        }
-        _ => return Err(SnapshotError::Inconsistent),
+                1 => Some(embedded(&mut r)?),
+                _ => return Err(BlobError::Inconsistent("ring flag not 0/1")),
+            },
+        }),
+        _ => return Err(BlobError::Inconsistent("unknown frame kind")),
     };
-    if off != payload.len() {
-        return Err(SnapshotError::Inconsistent);
-    }
+    r.finish()?;
     Ok(frame)
 }
 
@@ -279,12 +209,12 @@ pub fn write_cluster_frame(w: &mut impl Write, frame: &ClusterFrame) -> std::io:
 /// Reads one length-prefixed frame from a stream. A declared length of
 /// zero, or above [`MAX_CLUSTER_FRAME_LEN`], is refused *before* any
 /// buffer is sized from it.
-pub fn read_cluster_frame(r: &mut impl Read) -> Result<ClusterFrame, SnapshotError> {
+pub fn read_cluster_frame(r: &mut impl Read) -> Result<ClusterFrame, BlobError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len == 0 || len > MAX_CLUSTER_FRAME_LEN {
-        return Err(SnapshotError::Inconsistent);
+        return Err(BlobError::Inconsistent("frame length out of range"));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
@@ -295,6 +225,7 @@ pub fn read_cluster_frame(r: &mut impl Read) -> Result<ClusterFrame, SnapshotErr
 mod tests {
     use super::*;
     use crate::report::Report;
+    use crate::snapshot::crc32;
     use crate::Aggregator;
 
     fn toy_snapshot(with_ring: bool) -> WorkerSnapshot {
@@ -354,7 +285,7 @@ mod tests {
         }
         let mut bad = buf.clone();
         bad[9] ^= 0x04;
-        assert_eq!(decode_cluster_frame(&bad), Err(SnapshotError::BadCrc));
+        assert_eq!(decode_cluster_frame(&bad), Err(BlobError::BadCrc));
     }
 
     #[test]
@@ -410,7 +341,7 @@ mod tests {
         assert!(read_cluster_frame(&mut short).is_ok());
         assert!(matches!(
             read_cluster_frame(&mut short),
-            Err(SnapshotError::Io(_))
+            Err(BlobError::Io(_))
         ));
     }
 
@@ -422,7 +353,7 @@ mod tests {
             bad[i] ^= 0x20;
             assert_eq!(
                 decode_cluster_frame(&bad),
-                Err(SnapshotError::BadCrc),
+                Err(BlobError::BadCrc),
                 "flipped byte {i}"
             );
         }
@@ -437,7 +368,7 @@ mod tests {
         padded.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
             decode_cluster_frame(&padded),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("trailing bytes"))
         );
     }
 
@@ -455,31 +386,31 @@ mod tests {
         wrong_magic[0..4].copy_from_slice(b"NOPE");
         assert_eq!(
             decode_cluster_frame(&recrc(wrong_magic)),
-            Err(SnapshotError::BadMagic)
+            Err(BlobError::BadMagic)
         );
 
         let mut wrong_version = good.clone();
         wrong_version[4..6].copy_from_slice(&9u16.to_le_bytes());
         assert_eq!(
             decode_cluster_frame(&recrc(wrong_version)),
-            Err(SnapshotError::UnsupportedVersion(9))
+            Err(BlobError::UnsupportedVersion(9))
         );
 
         let mut wrong_kind = good.clone();
         wrong_kind[6] = 7;
         assert_eq!(
             decode_cluster_frame(&recrc(wrong_kind)),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("unknown frame kind"))
         );
 
-        // Forged counts length far beyond the buffer: refused by the
-        // explicit bound check, with no allocation sized from it.
+        // Forged counts length (after magic, version, kind and three u64
+        // fields) far beyond the buffer: refused by the explicit bound
+        // check, with no allocation sized from it.
         let mut forged = good.clone();
-        forged[FRAME_HEADER_LEN + 24..FRAME_HEADER_LEN + 32]
-            .copy_from_slice(&u64::MAX.to_le_bytes());
+        forged[31..39].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
             decode_cluster_frame(&recrc(forged)),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("declared count vs length"))
         );
 
         // A zero or oversized socket length prefix is refused before
@@ -487,13 +418,13 @@ mod tests {
         let mut zero = &[0u8, 0, 0, 0][..];
         assert_eq!(
             read_cluster_frame(&mut zero),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("frame length out of range"))
         );
         let huge = (MAX_CLUSTER_FRAME_LEN as u32 + 1).to_le_bytes();
         let mut huge = &huge[..];
         assert_eq!(
             read_cluster_frame(&mut huge),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("frame length out of range"))
         );
     }
 
@@ -566,7 +497,7 @@ mod tests {
             bad[i] ^= 0x01;
             assert_eq!(
                 decode_cluster_frame(&bad),
-                Err(SnapshotError::BadCrc),
+                Err(BlobError::BadCrc),
                 "flip at byte {i} not caught"
             );
         }

@@ -72,13 +72,7 @@ impl GrantFrame {
     /// Appends the length-prefixed frame to `out`.
     pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(Self::PAYLOAD_LEN as u32).to_le_bytes());
-        let start = out.len();
-        out.extend_from_slice(&Self::MAGIC);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.window.to_le_bytes());
-        out.extend_from_slice(&self.granted_nano.to_le_bytes());
-        let crc = crc32(&out[start..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&self.payload());
     }
 
     /// The length-prefixed frame as a fresh vector.
@@ -105,28 +99,12 @@ impl GrantFrame {
     /// Decodes one payload (no length prefix). Validation order: magic,
     /// exact size, CRC — corruption never yields a frame.
     pub fn decode_payload(buf: &[u8]) -> Result<GrantFrame, DecodeError> {
-        if buf.len() < 4 {
-            return Err(DecodeError::Truncated { needed: 4 });
-        }
-        if buf[0..4] != Self::MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        if buf.len() < Self::PAYLOAD_LEN {
-            return Err(DecodeError::Truncated {
-                needed: Self::PAYLOAD_LEN as u64,
-            });
-        }
-        if buf.len() > Self::PAYLOAD_LEN {
-            return Err(DecodeError::TrailingBytes);
-        }
-        let stored = u32::from_le_bytes(buf[28..32].try_into().unwrap());
-        if crc32(&buf[..28]) != stored {
-            return Err(DecodeError::BadCrc);
-        }
+        let f = open_control(buf, Self::MAGIC, Self::PAYLOAD_LEN)?;
+        let u64_at = |i: usize| u64::from_le_bytes(f[i..i + 8].try_into().unwrap());
         Ok(GrantFrame {
-            epoch: u64::from_le_bytes(buf[4..12].try_into().unwrap()),
-            window: u64::from_le_bytes(buf[12..20].try_into().unwrap()),
-            granted_nano: u64::from_le_bytes(buf[20..28].try_into().unwrap()),
+            epoch: u64_at(0),
+            window: u64_at(8),
+            granted_nano: u64_at(16),
         })
     }
 }
@@ -202,25 +180,7 @@ impl HelloFrame {
     /// Decodes one payload (no length prefix); unknown flag bits are
     /// refused as inconsistent rather than silently ignored.
     pub fn decode_payload(buf: &[u8]) -> Result<HelloFrame, DecodeError> {
-        if buf.len() < 4 {
-            return Err(DecodeError::Truncated { needed: 4 });
-        }
-        if buf[0..4] != Self::MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        if buf.len() < Self::PAYLOAD_LEN {
-            return Err(DecodeError::Truncated {
-                needed: Self::PAYLOAD_LEN as u64,
-            });
-        }
-        if buf.len() > Self::PAYLOAD_LEN {
-            return Err(DecodeError::TrailingBytes);
-        }
-        let stored = u32::from_le_bytes(buf[5..9].try_into().unwrap());
-        if crc32(&buf[..5]) != stored {
-            return Err(DecodeError::BadCrc);
-        }
-        let flags = buf[4];
+        let flags = open_control(buf, Self::MAGIC, Self::PAYLOAD_LEN)?[0];
         if flags & !HelloFrame::SUBSCRIBE_GRANTS != 0 {
             return Err(DecodeError::FrameMismatch);
         }
@@ -236,11 +196,7 @@ pub const ACK_PAYLOAD_LEN: usize = 4 + 8 + 4;
 /// Appends a length-prefixed framed cumulative ack to `out`.
 pub fn encode_ack_frame_into(acked: u64, out: &mut Vec<u8>) {
     out.extend_from_slice(&(ACK_PAYLOAD_LEN as u32).to_le_bytes());
-    let start = out.len();
-    out.extend_from_slice(&ACK_MAGIC);
-    out.extend_from_slice(&acked.to_le_bytes());
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&ack_payload(acked));
 }
 
 /// The `TSAK` payload for a cumulative ack as a stack array — the hot
@@ -274,25 +230,31 @@ pub fn write_control_frame<W: std::io::Write + ?Sized>(
 /// Decodes one `TSAK` payload (no length prefix) into the cumulative
 /// acked count.
 pub fn decode_ack_payload(buf: &[u8]) -> Result<u64, DecodeError> {
+    let f = open_control(buf, ACK_MAGIC, ACK_PAYLOAD_LEN)?;
+    Ok(u64::from_le_bytes(f.try_into().unwrap()))
+}
+
+/// Opens one fixed-size control payload of `len` bytes, checking in
+/// order: at least the 4 magic bytes, the magic, the exact length, the
+/// tail CRC-32. Returns the fields between magic and CRC.
+fn open_control(buf: &[u8], magic: [u8; 4], len: usize) -> Result<&[u8], DecodeError> {
     if buf.len() < 4 {
         return Err(DecodeError::Truncated { needed: 4 });
     }
-    if buf[0..4] != ACK_MAGIC {
+    if buf[..4] != magic {
         return Err(DecodeError::BadMagic);
     }
-    if buf.len() < ACK_PAYLOAD_LEN {
-        return Err(DecodeError::Truncated {
-            needed: ACK_PAYLOAD_LEN as u64,
-        });
+    if buf.len() < len {
+        return Err(DecodeError::Truncated { needed: len as u64 });
     }
-    if buf.len() > ACK_PAYLOAD_LEN {
+    if buf.len() > len {
         return Err(DecodeError::TrailingBytes);
     }
-    let stored = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-    if crc32(&buf[..12]) != stored {
+    let (fields, crc) = buf.split_at(len - 4);
+    if crc32(fields) != u32::from_le_bytes(crc.try_into().unwrap()) {
         return Err(DecodeError::BadCrc);
     }
-    Ok(u64::from_le_bytes(buf[4..12].try_into().unwrap()))
+    Ok(&fields[4..])
 }
 
 /// One server→client control frame on a grant session.

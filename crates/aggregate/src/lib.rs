@@ -102,9 +102,6 @@ pub use pipeline::{
 };
 pub use publish::PublishedStream;
 pub use report::{DecodeError, Report, StreamDecoder, WireFrame, MAX_FRAME_LEN};
-pub use snapshot::{
-    crc32, merge_snapshot_files, read_snapshot_file, write_blob_atomic, write_snapshot_file,
-    SnapshotError,
-};
+pub use snapshot::{crc32, merge_snapshot_files, read_snapshot_file, write_snapshot_file};
 pub use stream::{StreamingEstimator, WindowConfig, WindowIngest, WindowedAggregator};
 pub use synthesize::Synthesizer;

@@ -4,17 +4,15 @@
 //! restarted (or re-sharded) server recovers exact counters by loading
 //! the latest snapshot and replaying the report-log tail over it, and a
 //! sharded deployment merges per-shard counter files with
-//! [`merge_snapshot_files`]. The format is fully self-validating — magic,
-//! version, size-consistency checks on every length field, and a trailing
-//! CRC-32 over the whole payload — because counter files sit on disk
-//! across restarts and a silently corrupt counter is worse than a missing
-//! one (it would skew every estimate debiased from it).
+//! [`merge_snapshot_files`]. A snapshot is a sealed blob — magic,
+//! version, body, CRC-32, see [`trajshare_core::blob`] — and every
+//! length field is checked against the body, because counter files sit
+//! on disk across restarts and a silently corrupt counter is worse than
+//! a missing one (it would skew every estimate debiased from it).
 //!
-//! Layout (all integers little-endian):
+//! Body of `TSC1` version 2 (all integers little-endian):
 //!
 //! ```text
-//! magic "TSC1"            4 bytes
-//! version                 u16   (currently 2)
 //! num_regions             u64
 //! length_hist length      u64
 //! num_reports             u64
@@ -29,12 +27,11 @@
 //! occupancy_exact         num_regions × u64
 //! transitions             num_regions² × u64
 //! length_hist             hist_len × u64
-//! crc32                   u32   (IEEE, over every preceding byte)
 //! ```
 
 use crate::ingest::{AggregateCounts, TILES_PER_DAY};
-use std::io::Write;
 use std::path::Path;
+use trajshare_core::blob::{open, write_blob_atomic, BlobError, Sealer};
 
 /// Snapshot magic ("TrajShare Counts v1").
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSC1";
@@ -42,186 +39,76 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSC1";
 /// The one snapshot format version this build reads and writes.
 pub const SNAPSHOT_VERSION: u16 = 2;
 
-/// Fixed-size portion of a snapshot: magic + version + seven u64
-/// scalars.
-const SNAPSHOT_HEADER_LEN: usize = 4 + 2 + 7 * 8;
-
-/// Why reading a snapshot failed. As with report decoding, every variant
-/// other than `Io` means the bytes can never become a valid snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// Buffer shorter than the minimum self-describing snapshot.
-    Truncated,
-    /// Magic bytes do not match [`SNAPSHOT_MAGIC`].
-    BadMagic,
-    /// Version field is not one this build reads.
-    UnsupportedVersion(u16),
-    /// The trailing CRC-32 does not match the payload.
-    BadCrc,
-    /// Declared sizes disagree with the buffer length (including sizes so
-    /// large their byte count overflows).
-    Inconsistent,
-    /// Underlying filesystem error (message-only, for test comparability).
-    Io(String),
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::BadMagic => write!(f, "snapshot magic invalid"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "snapshot version {v} not supported")
-            }
-            SnapshotError::BadCrc => write!(f, "snapshot CRC mismatch"),
-            SnapshotError::Inconsistent => write!(f, "snapshot size fields inconsistent"),
-            SnapshotError::Io(msg) => write!(f, "snapshot I/O error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e.to_string())
-    }
-}
-
 /// The workspace-shared IEEE CRC-32 (defined once in
-/// [`trajshare_core::crc`], re-exported here for snapshots, the window
-/// ring, the budget ledger, and the service's write-ahead log records).
+/// [`trajshare_core::crc`], re-exported here for the service's
+/// write-ahead log records and the benchmark's oracles).
 pub use trajshare_core::crc32;
 
-fn push_u64s(out: &mut Vec<u8>, values: &[u64]) {
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Reads `n` little-endian u64s starting at `*off`, advancing it. The
-/// caller has already proven the buffer long enough.
-fn read_u64s(buf: &[u8], off: &mut usize, n: usize) -> Vec<u64> {
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(u64::from_le_bytes(buf[*off..*off + 8].try_into().unwrap()));
-        *off += 8;
-    }
-    v
-}
-
 impl AggregateCounts {
-    /// Serializes the counters into the self-validating snapshot format.
+    /// Serializes the counters into a sealed `TSC1` blob.
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        let nr = self.num_regions as u64;
-        let words = 7
-            + self.occupancy.len()
-            + self.tile_occupancy.len()
-            + self.starts.len()
-            + self.ends.len()
-            + self.occupancy_exact.len()
-            + self.transitions.len()
-            + self.length_hist.len();
-        let mut out = Vec::with_capacity(6 + words * 8 + 4);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        push_u64s(
-            &mut out,
-            &[
-                nr,
-                self.length_hist.len() as u64,
-                self.num_reports,
-                self.num_unigrams,
-                self.rejected,
-                self.eps_nano_sum,
-                self.eps_nano_max,
-            ],
-        );
-        push_u64s(&mut out, &self.occupancy);
-        push_u64s(&mut out, &self.tile_occupancy);
-        push_u64s(&mut out, &self.starts);
-        push_u64s(&mut out, &self.ends);
-        push_u64s(&mut out, &self.occupancy_exact);
-        push_u64s(&mut out, &self.transitions);
-        push_u64s(&mut out, &self.length_hist);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let vectors = [
+            &self.occupancy,
+            &self.tile_occupancy,
+            &self.starts,
+            &self.ends,
+            &self.occupancy_exact,
+            &self.transitions,
+            &self.length_hist,
+        ];
+        let words = 7 + vectors.iter().map(|v| v.len()).sum::<usize>();
+        let mut s = Sealer::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, words * 8);
+        s.u64s(&[
+            self.num_regions as u64,
+            self.length_hist.len() as u64,
+            self.num_reports,
+            self.num_unigrams,
+            self.rejected,
+            self.eps_nano_sum,
+            self.eps_nano_max,
+        ]);
+        for v in vectors {
+            s.u64s(v);
+        }
+        s.seal()
     }
 
     /// Decodes [`AggregateCounts::encode_snapshot`] output, validating
-    /// CRC, magic, version, and size consistency before any allocation is
-    /// sized from the declared fields.
-    pub fn decode_snapshot(buf: &[u8]) -> Result<AggregateCounts, SnapshotError> {
-        if buf.len() < SNAPSHOT_HEADER_LEN + 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-        if crc32(payload) != stored_crc {
-            return Err(SnapshotError::BadCrc);
-        }
-        if payload[0..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let mut off = 6;
-        let header = read_u64s(payload, &mut off, 7);
+    /// the envelope and size consistency before any allocation is sized
+    /// from the declared fields.
+    pub fn decode_snapshot(buf: &[u8]) -> Result<AggregateCounts, BlobError> {
+        let mut r = open(buf, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let header = r.u64s(7)?;
         let (nr, hist_len) = (header[0], header[1]);
-        // Expected payload size, computed with checked arithmetic so a
+        // Expected body size, computed with checked arithmetic so a
         // hostile num_regions cannot overflow (nr² alone can exceed u64).
-        let vec_words = nr
+        let expect = nr
             .checked_mul(nr)
-            .and_then(|sq| {
-                nr.checked_mul(4 + TILES_PER_DAY as u64)
-                    .map(|lin| (sq, lin))
-            })
+            .zip(nr.checked_mul(4 + TILES_PER_DAY as u64))
             .and_then(|(sq, lin)| sq.checked_add(lin))
-            .and_then(|w| w.checked_add(hist_len));
-        let expect = vec_words
-            .and_then(|w| w.checked_mul(8))
-            .and_then(|b| b.checked_add(SNAPSHOT_HEADER_LEN as u64));
-        match expect {
-            Some(e) if e == payload.len() as u64 => {}
-            _ => return Err(SnapshotError::Inconsistent),
+            .and_then(|w| w.checked_add(hist_len))
+            .and_then(|w| w.checked_mul(8));
+        if expect != Some(r.remaining() as u64) {
+            return Err(BlobError::Inconsistent("declared sizes vs length"));
         }
         // Sizes are now proven consistent with the buffer we hold.
         let nr = nr as usize;
-        let hist_len = hist_len as usize;
-        let counts = AggregateCounts {
+        Ok(AggregateCounts {
             num_regions: nr,
             num_reports: header[2],
             num_unigrams: header[3],
             rejected: header[4],
             eps_nano_sum: header[5],
             eps_nano_max: header[6],
-            occupancy: read_u64s(payload, &mut off, nr),
-            tile_occupancy: read_u64s(payload, &mut off, nr * TILES_PER_DAY),
-            starts: read_u64s(payload, &mut off, nr),
-            ends: read_u64s(payload, &mut off, nr),
-            occupancy_exact: read_u64s(payload, &mut off, nr),
-            transitions: read_u64s(payload, &mut off, nr * nr),
-            length_hist: read_u64s(payload, &mut off, hist_len),
-        };
-        Ok(counts)
+            occupancy: r.u64s(nr)?,
+            tile_occupancy: r.u64s(nr * TILES_PER_DAY)?,
+            starts: r.u64s(nr)?,
+            ends: r.u64s(nr)?,
+            occupancy_exact: r.u64s(nr)?,
+            transitions: r.u64s(nr * nr)?,
+            length_hist: r.u64s(hist_len as usize)?,
+        })
     }
-}
-
-/// The workspace's one atomic small-file write: `bytes` go to a sibling
-/// `.tmp` file, are fsynced, and are renamed over `path`. A crash
-/// mid-write leaves either the old file or none — never a torn one (and
-/// every blob written this way self-validates with a CRC anyway).
-pub fn write_blob_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// Writes `counts` to `path` atomically ([`write_blob_atomic`]).
@@ -230,7 +117,7 @@ pub fn write_snapshot_file(path: &Path, counts: &AggregateCounts) -> std::io::Re
 }
 
 /// Reads and validates one snapshot file.
-pub fn read_snapshot_file(path: &Path) -> Result<AggregateCounts, SnapshotError> {
+pub fn read_snapshot_file(path: &Path) -> Result<AggregateCounts, BlobError> {
     let bytes = std::fs::read(path)?;
     AggregateCounts::decode_snapshot(&bytes)
 }
@@ -240,16 +127,16 @@ pub fn read_snapshot_file(path: &Path) -> Result<AggregateCounts, SnapshotError>
 /// into one exact population total, provided they share a region
 /// universe. Returns `Inconsistent` on a universe mismatch and `Io` if
 /// `paths` is empty (there is no universe to size an empty result by).
-pub fn merge_snapshot_files<P: AsRef<Path>>(paths: &[P]) -> Result<AggregateCounts, SnapshotError> {
+pub fn merge_snapshot_files<P: AsRef<Path>>(paths: &[P]) -> Result<AggregateCounts, BlobError> {
     let mut iter = paths.iter();
     let first = iter
         .next()
-        .ok_or_else(|| SnapshotError::Io("no snapshot files to merge".into()))?;
+        .ok_or_else(|| BlobError::Io("no snapshot files to merge".into()))?;
     let mut total = read_snapshot_file(first.as_ref())?;
     for path in iter {
         let next = read_snapshot_file(path.as_ref())?;
         if next.num_regions != total.num_regions {
-            return Err(SnapshotError::Inconsistent);
+            return Err(BlobError::Inconsistent("region universe mismatch"));
         }
         total.merge(&next);
     }
@@ -301,7 +188,7 @@ mod tests {
             bad[i] ^= 0x40;
             assert_eq!(
                 AggregateCounts::decode_snapshot(&bad),
-                Err(SnapshotError::BadCrc),
+                Err(BlobError::BadCrc),
                 "flipped byte {i}"
             );
         }
@@ -319,7 +206,7 @@ mod tests {
             wrong_version[n - 4..].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(
                 AggregateCounts::decode_snapshot(&wrong_version),
-                Err(SnapshotError::UnsupportedVersion(v))
+                Err(BlobError::UnsupportedVersion(v))
             );
         }
         // Wrong magic, same treatment.
@@ -329,7 +216,7 @@ mod tests {
         wrong_magic[n - 4..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             AggregateCounts::decode_snapshot(&wrong_magic),
-            Err(SnapshotError::BadMagic)
+            Err(BlobError::BadMagic)
         );
     }
 
@@ -348,7 +235,7 @@ mod tests {
         forged.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
             AggregateCounts::decode_snapshot(&forged),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("declared sizes vs length"))
         );
     }
 
@@ -375,7 +262,7 @@ mod tests {
         write_snapshot_file(&pc, &other).unwrap();
         assert_eq!(
             merge_snapshot_files(&[&pa, &pc]),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("region universe mismatch"))
         );
         assert!(merge_snapshot_files::<&Path>(&[]).is_err());
         let _ = std::fs::remove_dir_all(&dir);

@@ -37,7 +37,7 @@ use crate::ingest::{accumulate, accumulate_columns, AggregateCounts, BatchCols};
 use crate::linalg::CsrPattern;
 use crate::markov::{joint_to_feasible_rows, normalize_counts, MobilityModel};
 use crate::report::Report;
-use crate::snapshot::{crc32, SnapshotError};
+use trajshare_core::blob::{open, BlobError, Sealer};
 use trajshare_core::RegionGraph;
 
 /// Sliding-window shape: how long a window is (in the public timestamp
@@ -416,31 +416,32 @@ impl WindowedAggregator {
     pub const RING_VERSION: u16 = 2;
 
     /// Serializes the ring (config, watermark, live windows with their
-    /// recorded budget spends) into a self-validating blob: header + one
-    /// embedded counts snapshot per live window + trailing CRC-32. The
-    /// merged view is *not* stored — it is recomputed on decode as the
-    /// sum of the live slots, which is bit-identical by construction.
+    /// recorded budget spends) into a sealed blob: header fields, then
+    /// one embedded counts snapshot per live window. The merged view is
+    /// *not* stored — it is recomputed on decode as the sum of the live
+    /// slots, which is bit-identical by construction.
+    ///
+    /// Body of `TSWR` version 2: `window_len`, `num_windows`, `newest`,
+    /// `late`, `evicted_windows`, live-window count (each `u64`), then
+    /// per live window `id u64 · spent_nano u64 · snapshot length u64 ·
+    /// TSC1 blob`.
     pub fn encode_ring(&self) -> Vec<u8> {
         let live = self.windows();
-        let mut out = Vec::new();
-        out.extend_from_slice(&Self::RING_MAGIC);
-        out.extend_from_slice(&Self::RING_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.config.window_len.to_le_bytes());
-        out.extend_from_slice(&(self.config.num_windows as u64).to_le_bytes());
-        out.extend_from_slice(&self.newest.to_le_bytes());
-        out.extend_from_slice(&self.late.to_le_bytes());
-        out.extend_from_slice(&self.evicted_windows.to_le_bytes());
-        out.extend_from_slice(&(live.len() as u64).to_le_bytes());
+        let mut s = Sealer::new(Self::RING_MAGIC, Self::RING_VERSION, 48);
+        s.u64s(&[
+            self.config.window_len,
+            self.config.num_windows as u64,
+            self.newest,
+            self.late,
+            self.evicted_windows,
+            live.len() as u64,
+        ]);
         for (id, counts) in live {
             let snap = counts.encode_snapshot();
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&self.window_spend(id).to_le_bytes());
-            out.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-            out.extend_from_slice(&snap);
+            s.u64(id).u64(self.window_spend(id)).u64(snap.len() as u64);
+            s.bytes(&snap);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        s.seal()
     }
 
     /// Decodes [`WindowedAggregator::encode_ring`] output. The stored
@@ -451,70 +452,33 @@ impl WindowedAggregator {
         buf: &[u8],
         region_tile: &[u16],
         config: WindowConfig,
-    ) -> Result<WindowedAggregator, SnapshotError> {
-        const HEADER: usize = 4 + 2 + 6 * 8;
-        if buf.len() < HEADER + 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
-        if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-            return Err(SnapshotError::BadCrc);
-        }
-        if payload[0..4] != Self::RING_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-        if version != Self::RING_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let mut off = 6;
-        fn next_u64(payload: &[u8], off: &mut usize) -> Result<u64, SnapshotError> {
-            if payload.len() < *off + 8 {
-                return Err(SnapshotError::Truncated);
-            }
-            let v = u64::from_le_bytes(payload[*off..*off + 8].try_into().unwrap());
-            *off += 8;
-            Ok(v)
-        }
-        let window_len = next_u64(payload, &mut off)?;
-        let num_windows = next_u64(payload, &mut off)?;
-        let newest = next_u64(payload, &mut off)?;
-        let late = next_u64(payload, &mut off)?;
-        let evicted = next_u64(payload, &mut off)?;
-        let n_live = next_u64(payload, &mut off)?;
+    ) -> Result<WindowedAggregator, BlobError> {
+        let mut r = open(buf, Self::RING_MAGIC, Self::RING_VERSION)?;
+        let (window_len, num_windows) = (r.u64()?, r.u64()?);
+        let (newest, late, evicted) = (r.u64()?, r.u64()?, r.u64()?);
         if window_len != config.window_len || num_windows != config.num_windows as u64 {
-            return Err(SnapshotError::Inconsistent);
+            return Err(BlobError::Inconsistent("window shape mismatch"));
         }
-        if n_live > num_windows {
-            return Err(SnapshotError::Inconsistent);
-        }
+        let n_live = r.count(num_windows, 24)?;
         let mut ring = WindowedAggregator::new(region_tile.to_vec(), config);
         ring.advance_to(newest);
         ring.late = late;
         ring.evicted_windows = evicted;
         for _ in 0..n_live {
-            let id = next_u64(payload, &mut off)?;
-            let spent_nano = next_u64(payload, &mut off)?;
-            let len = next_u64(payload, &mut off)? as usize;
-            if payload.len() < off + len {
-                return Err(SnapshotError::Truncated);
-            }
-            let counts = AggregateCounts::decode_snapshot(&payload[off..off + len])?;
-            off += len;
+            let (id, spent_nano, len) = (r.u64()?, r.u64()?, r.u64()?);
+            let counts = AggregateCounts::decode_snapshot(r.bytes(len as usize)?)?;
             if counts.num_regions != region_tile.len() {
-                return Err(SnapshotError::Inconsistent);
+                return Err(BlobError::Inconsistent("region universe mismatch"));
             }
             if id > newest || id < ring.oldest_window() {
-                return Err(SnapshotError::Inconsistent);
+                return Err(BlobError::Inconsistent("window outside the ring"));
             }
             ring.merge_window(id, &counts);
             if spent_nano > 0 {
                 ring.record_spend(id, spent_nano);
             }
         }
-        if off != payload.len() {
-            return Err(SnapshotError::Inconsistent);
-        }
+        r.finish()?;
         Ok(ring)
     }
 }
@@ -699,6 +663,7 @@ impl Default for StreamingEstimator {
 mod tests {
     use super::*;
     use crate::ingest::Aggregator;
+    use crate::snapshot::crc32;
     use proptest::prelude::*;
 
     const REGIONS: usize = 5;
@@ -965,15 +930,15 @@ mod tests {
         v1.extend_from_slice(&crc32(&v1).to_le_bytes());
         assert_eq!(
             WindowedAggregator::decode_ring(&v1, &[0u16; REGIONS], config),
-            Err(SnapshotError::UnsupportedVersion(1))
+            Err(BlobError::UnsupportedVersion(1))
         );
         assert_eq!(
             WindowedAggregator::decode_ring(&blob, &[0u16; REGIONS], cfg(10, 4)),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("window shape mismatch"))
         );
         assert_eq!(
             WindowedAggregator::decode_ring(&blob, &[0u16; 7], config),
-            Err(SnapshotError::Inconsistent)
+            Err(BlobError::Inconsistent("region universe mismatch"))
         );
         assert!(WindowedAggregator::decode_ring(&blob[..20], &[0u16; REGIONS], config).is_err());
     }

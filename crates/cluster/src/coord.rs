@@ -60,10 +60,11 @@ use trajshare_aggregate::clusterproto::{
     read_cluster_frame, write_cluster_frame, ClusterFrame, WorkerSnapshot,
 };
 use trajshare_aggregate::{
-    crc32, write_blob_atomic, AggregateCounts, EstimatorBackend, GrantFrame, GrantRecord,
-    MobilityModel, PublicationEngine, StreamingEstimator, WindowBudgetAccountant,
-    WindowBudgetConfig, WindowConfig, WindowedAggregator,
+    crc32, AggregateCounts, EstimatorBackend, GrantFrame, GrantRecord, MobilityModel,
+    PublicationEngine, StreamingEstimator, WindowBudgetAccountant, WindowBudgetConfig,
+    WindowConfig, WindowedAggregator,
 };
+use trajshare_core::blob::write_blob_atomic;
 use trajshare_core::RegionGraph;
 
 /// Coordinator deployment shape.

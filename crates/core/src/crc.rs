@@ -1,6 +1,6 @@
 //! The one CRC-32 implementation every self-validating blob in the
-//! workspace shares (counts snapshots, WAL records, window rings, the
-//! budget ledger, `TSR4` batch frames, and `TSRG` region-graph blobs).
+//! workspace shares (the [`crate::blob`] envelope, WAL records, `TSR4`
+//! batch frames, and the grant-session control frames).
 //! Keeping a single definition here — the crate everything else depends
 //! on — means a polynomial or reflection tweak can never silently
 //! diverge between codecs.

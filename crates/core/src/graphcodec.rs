@@ -14,24 +14,21 @@
 //! (the decomposition and `W₂` are derived from public POI data, §5.3),
 //! so shipping it to an untrusted collector leaks nothing.
 //!
-//! ## Format (`TSRG`, all integers little-endian)
+//! ## Format (`TSRG` version 1, a [`crate::blob`] sealed blob)
 //!
-//! | field | bytes |
+//! | body field | bytes |
 //! |---|---|
-//! | magic `TSRG` | 4 |
-//! | version (`u16`) | 2 |
 //! | `n` = number of regions (`u64`) | 8 |
 //! | `b` = number of `W₂` bigrams (`u64`) | 8 |
 //! | hour tile per region (`u16` × n) | 2·n |
 //! | distance matrix row-major (`f32` × n²) | 4·n² |
 //! | bigram pairs `(tail, head)` (`u32`+`u32` × b) | 8·b |
-//! | CRC-32 of everything above | 4 |
 //!
-//! Decoding validates the CRC, the exact length, tile range (< 24),
-//! matrix finiteness/non-negativity, and bigram bounds before any graph
-//! is built — a corrupt or hostile file is refused, never mis-indexed.
+//! Decoding validates the exact length, tile range (< 24), matrix
+//! finiteness/non-negativity, and bigram bounds before any graph is
+//! built — a corrupt or hostile file is refused, never mis-indexed.
 
-use crate::crc::crc32;
+use crate::blob::{open, write_blob_atomic, BlobError, Sealer};
 use crate::distances::RegionDistance;
 use crate::regiongraph::RegionGraph;
 use std::path::Path;
@@ -44,43 +41,9 @@ pub const GRAPH_VERSION: u16 = 1;
 /// layer indexes a 24-slot row per region with them).
 const TILES_PER_DAY: u16 = 24;
 
-/// Why decoding a region-graph blob failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphCodecError {
-    /// The buffer is shorter than its declared contents.
-    Truncated,
-    /// Magic bytes do not match [`GRAPH_MAGIC`].
-    BadMagic,
-    /// Unknown format version.
-    UnsupportedVersion(u16),
-    /// The trailing CRC-32 does not match the payload.
-    BadCrc,
-    /// Structurally valid but semantically inconsistent content (length
-    /// mismatch, out-of-range tile or bigram, non-finite distance).
-    Inconsistent(&'static str),
-}
-
-impl std::fmt::Display for GraphCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphCodecError::Truncated => write!(f, "region-graph blob truncated"),
-            GraphCodecError::BadMagic => write!(f, "region-graph magic bytes invalid"),
-            GraphCodecError::UnsupportedVersion(v) => {
-                write!(f, "unsupported region-graph version {v}")
-            }
-            GraphCodecError::BadCrc => write!(f, "region-graph CRC mismatch"),
-            GraphCodecError::Inconsistent(what) => {
-                write!(f, "region-graph blob inconsistent: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GraphCodecError {}
-
 /// Serializes a region graph plus its public hour-tile table into the
-/// self-validating `TSRG` blob. `region_tiles` must cover the graph's
-/// universe (one tile per region, each < 24).
+/// `TSRG` blob. `region_tiles` must cover the graph's universe (one tile
+/// per region, each < 24).
 pub fn encode_region_graph(graph: &RegionGraph, region_tiles: &[u16]) -> Vec<u8> {
     let n = graph.num_regions();
     assert_eq!(region_tiles.len(), n, "one tile per region");
@@ -88,88 +51,66 @@ pub fn encode_region_graph(graph: &RegionGraph, region_tiles: &[u16]) -> Vec<u8>
         region_tiles.iter().all(|&t| t < TILES_PER_DAY),
         "hour tiles must be < 24"
     );
-    let mut out = Vec::with_capacity(22 + 2 * n + 4 * n * n + 8 * graph.num_bigrams());
-    out.extend_from_slice(&GRAPH_MAGIC);
-    out.extend_from_slice(&GRAPH_VERSION.to_le_bytes());
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(graph.num_bigrams() as u64).to_le_bytes());
+    let mut s = Sealer::new(
+        GRAPH_MAGIC,
+        GRAPH_VERSION,
+        16 + 2 * n + 4 * n * n + 8 * graph.num_bigrams(),
+    );
+    s.u64(n as u64).u64(graph.num_bigrams() as u64);
     for &t in region_tiles {
-        out.extend_from_slice(&t.to_le_bytes());
+        s.u16(t);
     }
     for &d in graph.distance.raw_matrix() {
-        out.extend_from_slice(&d.to_le_bytes());
+        s.f32(d);
     }
     for &(a, b) in &graph.bigrams {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
+        s.u32(a).u32(b);
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    s.seal()
 }
 
 /// Decodes [`encode_region_graph`] output back into a usable graph and
 /// tile table, refusing anything corrupt, hostile, or inconsistent.
-pub fn decode_region_graph(buf: &[u8]) -> Result<(RegionGraph, Vec<u16>), GraphCodecError> {
-    const HEADER: usize = 4 + 2 + 8 + 8;
-    if buf.len() < HEADER + 4 {
-        return Err(GraphCodecError::Truncated);
-    }
-    let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
-    if crc32(payload) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-        return Err(GraphCodecError::BadCrc);
-    }
-    if payload[0..4] != GRAPH_MAGIC {
-        return Err(GraphCodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes(payload[4..6].try_into().unwrap());
-    if version != GRAPH_VERSION {
-        return Err(GraphCodecError::UnsupportedVersion(version));
-    }
-    let n = u64::from_le_bytes(payload[6..14].try_into().unwrap());
-    let b = u64::from_le_bytes(payload[14..22].try_into().unwrap());
+pub fn decode_region_graph(buf: &[u8]) -> Result<(RegionGraph, Vec<u16>), BlobError> {
+    let mut r = open(buf, GRAPH_MAGIC, GRAPH_VERSION)?;
+    let (n, b) = (r.u64()?, r.u64()?);
     // Exact-size check before any allocation: the declared counts must
     // account for every remaining byte, so a hostile header cannot make
     // us allocate beyond the input we already hold. Bounding the counts
     // first keeps even the u128 size arithmetic overflow-free.
+    let sizes = Err(BlobError::Inconsistent("declared sizes vs length"));
     if n > u32::MAX as u64 || b > u32::MAX as u64 {
-        return Err(GraphCodecError::Inconsistent("declared sizes vs length"));
+        return sizes;
     }
-    let expected =
-        (HEADER as u128) + 2 * (n as u128) + 4 * (n as u128) * (n as u128) + 8 * (b as u128);
-    if expected != payload.len() as u128 {
-        return Err(GraphCodecError::Inconsistent("declared sizes vs length"));
+    let (n, b) = (n as u128, b as u128);
+    if 2 * n + 4 * n * n + 8 * b != r.remaining() as u128 {
+        return sizes;
     }
-    let n = n as usize;
-    let b = b as usize;
+    let (n, b) = (n as usize, b as usize);
     if n == 0 {
-        return Err(GraphCodecError::Inconsistent("empty region universe"));
+        return Err(BlobError::Inconsistent("empty region universe"));
     }
-    let mut off = HEADER;
     let mut tiles = Vec::with_capacity(n);
     for _ in 0..n {
-        let t = u16::from_le_bytes(payload[off..off + 2].try_into().unwrap());
+        let t = r.u16()?;
         if t >= TILES_PER_DAY {
-            return Err(GraphCodecError::Inconsistent("hour tile out of range"));
+            return Err(BlobError::Inconsistent("hour tile out of range"));
         }
         tiles.push(t);
-        off += 2;
     }
     let mut matrix = Vec::with_capacity(n * n);
     for _ in 0..n * n {
-        let d = f32::from_le_bytes(payload[off..off + 4].try_into().unwrap());
+        let d = r.f32()?;
         if !d.is_finite() || d < 0.0 {
-            return Err(GraphCodecError::Inconsistent("non-finite distance"));
+            return Err(BlobError::Inconsistent("non-finite distance"));
         }
         matrix.push(d);
-        off += 4;
     }
     let mut bigrams = Vec::with_capacity(b);
     for _ in 0..b {
-        let tail = u32::from_le_bytes(payload[off..off + 4].try_into().unwrap());
-        let head = u32::from_le_bytes(payload[off + 4..off + 8].try_into().unwrap());
+        let (tail, head) = (r.u32()?, r.u32()?);
         if tail as usize >= n || head as usize >= n {
-            return Err(GraphCodecError::Inconsistent("bigram out of range"));
+            return Err(BlobError::Inconsistent("bigram out of range"));
         }
         // `W₂` is a *set*: require strictly ascending lexicographic
         // order (what `RegionGraph::build` emits), which rules out
@@ -177,27 +118,24 @@ pub fn decode_region_graph(buf: &[u8]) -> Result<(RegionGraph, Vec<u16>), GraphC
         // transition in every downstream consumer (uniform-fallback
         // rows, CSR kernels, W₂ normalizers) with no error anywhere.
         if bigrams.last().is_some_and(|&prev| prev >= (tail, head)) {
-            return Err(GraphCodecError::Inconsistent("bigrams not sorted-unique"));
+            return Err(BlobError::Inconsistent("bigrams not sorted-unique"));
         }
         bigrams.push((tail, head));
-        off += 8;
     }
-    debug_assert_eq!(off, payload.len());
+    r.finish()?;
     let distance = RegionDistance::from_parts(n, matrix);
     Ok((RegionGraph::from_parts(distance, bigrams), tiles))
 }
 
-/// Writes the blob to `path` (tmp + rename so a crashed write never
-/// leaves a torn file where a daemon would look for its universe).
+/// Writes the blob to `path` atomically
+/// ([`crate::blob::write_blob_atomic`]), so a crashed write never leaves
+/// a torn file where a daemon would look for its universe.
 pub fn write_region_graph_file(
     path: &Path,
     graph: &RegionGraph,
     region_tiles: &[u16],
 ) -> std::io::Result<()> {
-    let bytes = encode_region_graph(graph, region_tiles);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(tmp, path)
+    write_blob_atomic(path, &encode_region_graph(graph, region_tiles))
 }
 
 /// Reads and validates a region-graph file — the `ingestd
@@ -212,6 +150,7 @@ pub fn read_region_graph_file(path: &Path) -> std::io::Result<(RegionGraph, Vec<
 mod tests {
     use super::*;
     use crate::config::MechanismConfig;
+    use crate::crc::crc32;
     use crate::decomposition::decompose;
     use crate::region::RegionId;
     use trajshare_geo::{DistanceMetric, GeoPoint};
@@ -285,10 +224,7 @@ mod tests {
         // Any flipped payload byte fails the CRC.
         let mut bad = blob.clone();
         bad[30] ^= 0x40;
-        assert_eq!(
-            decode_region_graph(&bad).unwrap_err(),
-            GraphCodecError::BadCrc
-        );
+        assert_eq!(decode_region_graph(&bad).unwrap_err(), BlobError::BadCrc);
         // Truncation.
         assert!(decode_region_graph(&blob[..10]).is_err());
         // Declared sizes must cover the buffer exactly (re-CRC'd so the
@@ -299,7 +235,7 @@ mod tests {
         hostile.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
             decode_region_graph(&hostile).unwrap_err(),
-            GraphCodecError::Inconsistent("declared sizes vs length")
+            BlobError::Inconsistent("declared sizes vs length")
         );
         // Out-of-range tile.
         let mut bad_tile = blob[..blob.len() - 4].to_vec();
@@ -308,7 +244,7 @@ mod tests {
         bad_tile.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
             decode_region_graph(&bad_tile).unwrap_err(),
-            GraphCodecError::Inconsistent("hour tile out of range")
+            BlobError::Inconsistent("hour tile out of range")
         );
         // A duplicated W₂ bigram (would double-weight its transition in
         // every consumer) is refused, not silently accepted.
@@ -322,7 +258,7 @@ mod tests {
         assert!(n > 1 && graph.num_bigrams() > 1);
         assert_eq!(
             decode_region_graph(&dup).unwrap_err(),
-            GraphCodecError::Inconsistent("bigrams not sorted-unique")
+            BlobError::Inconsistent("bigrams not sorted-unique")
         );
     }
 

@@ -48,6 +48,7 @@
 
 pub mod attack;
 pub mod baselines;
+pub mod blob;
 pub mod config;
 pub mod continuous;
 pub mod crc;
@@ -65,13 +66,13 @@ pub mod regiongraph;
 pub mod vio;
 
 pub use attack::{PathPrior, TrajectoryAdversary, WindowAdversary};
+pub use blob::BlobError;
 pub use config::{MechanismConfig, MergeDimension, ReconstructionSolver};
 pub use continuous::ContinuousSharer;
 pub use crc::{crc32, crc32_extend};
 pub use decomposition::decompose;
 pub use graphcodec::{
     decode_region_graph, encode_region_graph, read_region_graph_file, write_region_graph_file,
-    GraphCodecError,
 };
 pub use mechanism::{Mechanism, MechanismOutput, StageTimings};
 pub use ngram_mech::{NGramMechanism, PerturbedTrajectory};

@@ -8,10 +8,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use trajshare_aggregate::snapshot::write_blob_atomic;
 use trajshare_aggregate::{
     Aggregator, GrantBoard, GrantFrame, PublicationEngine, WindowedAggregator,
 };
+use trajshare_core::blob::write_blob_atomic;
 
 /// What the maintenance thread remembers between budget passes.
 #[derive(Default)]

@@ -6,9 +6,12 @@
 //!
 //! Inside one data directory:
 //!
-//! * `MANIFEST` — `"TSMF"`, `u16` version, `u64` generation, `u32` CRC.
-//!   Names the authoritative file generation; everything else is garbage
-//!   from interrupted runs and is swept on recovery.
+//! `MANIFEST` and the shard-counts header are sealed blobs (magic,
+//! version, body, CRC-32 — see [`trajshare_core::blob`]).
+//!
+//! * `MANIFEST` — `"TSMF"` version 1, body `u64` generation. Names the
+//!   authoritative file generation; everything else is garbage from
+//!   interrupted runs and is swept on recovery.
 //! * `base-<gen>.counts` — a plain [`AggregateCounts`] snapshot (see
 //!   `trajshare_aggregate::snapshot`): everything compacted by the last
 //!   recovery.
@@ -19,12 +22,12 @@
 //!   into columns and folds it through the same function the live path
 //!   uses. A torn tail (crash mid-write) is detected by the length/CRC
 //!   pair and cleanly ignored.
-//! * `shard-<gen>-<i>.counts` — shard `i`'s periodic counter snapshot:
-//!   `"TSSH"`, `u16` version, `u64` WAL byte offset covered, `u64`
-//!   counts-snapshot length, `u32` header CRC, then the embedded
-//!   (self-validating) counts snapshot and, when streaming, the shard's
-//!   window ring. Reports logged past the offset are recovered by
-//!   replaying the log tail.
+//! * `shard-<gen>-<i>.counts` — shard `i`'s periodic counter snapshot: a
+//!   26-byte `"TSSH"` version 2 header whose body is the `u64` WAL byte
+//!   offset covered and the `u64` counts-snapshot length, then the
+//!   embedded counts snapshot and, when streaming, the shard's window
+//!   ring. Reports logged past the offset are recovered by replaying the
+//!   log tail.
 //!
 //! ## Recovery = snapshot + log tail, then compaction
 //!
@@ -64,13 +67,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use trajshare_aggregate::snapshot::{
-    crc32, read_snapshot_file, write_blob_atomic, write_snapshot_file, SnapshotError,
-};
+use trajshare_aggregate::snapshot::{crc32, read_snapshot_file, write_snapshot_file};
 use trajshare_aggregate::{
     AggregateCounts, Aggregator, Report, ReportBatch, WindowBudgetAccountant, WindowConfig,
     WindowedAggregator,
 };
+use trajshare_core::blob::{open, write_blob_atomic, BlobError, Sealer};
 
 /// Manifest magic ("TrajShare ManiFest").
 const MANIFEST_MAGIC: [u8; 4] = *b"TSMF";
@@ -128,32 +130,19 @@ pub fn read_manifest(dir: &Path) -> std::io::Result<Option<u64>> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let fail = |msg: &str| Err(std::io::Error::other(format!("MANIFEST invalid: {msg}")));
-    if bytes.len() != 4 + 2 + 8 + 4 {
-        return fail("wrong size");
-    }
-    if bytes[0..4] != MANIFEST_MAGIC {
-        return fail("bad magic");
-    }
-    if u16::from_le_bytes(bytes[4..6].try_into().unwrap()) != STORAGE_VERSION {
-        return fail("unsupported version");
-    }
-    let stored = u32::from_le_bytes(bytes[14..18].try_into().unwrap());
-    if crc32(&bytes[..14]) != stored {
-        return fail("bad CRC");
-    }
-    Ok(Some(u64::from_le_bytes(bytes[6..14].try_into().unwrap())))
+    let invalid = |e: BlobError| std::io::Error::other(format!("MANIFEST invalid: {e}"));
+    let mut r = open(&bytes, MANIFEST_MAGIC, STORAGE_VERSION).map_err(invalid)?;
+    let gen = r.u64().map_err(invalid)?;
+    r.finish().map_err(invalid)?;
+    Ok(Some(gen))
 }
 
-/// Atomically points the manifest at `gen` (tmp + fsync + rename).
+/// Atomically points the manifest at `gen` (tmp + fsync + rename): a
+/// sealed blob whose body is the generation `u64`.
 pub fn write_manifest(dir: &Path, gen: u64) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(18);
-    bytes.extend_from_slice(&MANIFEST_MAGIC);
-    bytes.extend_from_slice(&STORAGE_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&gen.to_le_bytes());
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    write_blob_atomic(&manifest_path(dir), &bytes)
+    let mut s = Sealer::new(MANIFEST_MAGIC, STORAGE_VERSION, 8);
+    s.u64(gen);
+    write_blob_atomic(&manifest_path(dir), &s.seal())
 }
 
 /// When (if ever) the WAL forces data onto stable storage.
@@ -471,21 +460,21 @@ pub fn write_shard_counts(
     ring: Option<&[u8]>,
 ) -> std::io::Result<()> {
     let counts_snap = counts.encode_snapshot();
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&SHARD_MAGIC);
-    bytes.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&wal_offset.to_le_bytes());
-    // The counts-snapshot length, so the ring's start is explicit.
-    bytes.extend_from_slice(&(counts_snap.len() as u64).to_le_bytes());
-    // The embedded snapshots carry their own CRCs; this one guards the
-    // header — above all the covered-offset field, where a silent flip
-    // would shift what recovery replays (double count or drop).
-    let header_crc = crc32(&bytes);
-    bytes.extend_from_slice(&header_crc.to_le_bytes());
+    let ring = ring.unwrap_or_default();
+    // The header is its own sealed blob: the embedded snapshots carry
+    // their own CRCs, this one guards the covered-offset field, where a
+    // silent flip would shift what recovery replays (double count or
+    // drop), and the counts length that makes the ring's start explicit.
+    // Its buffer is sized for the blobs appended after the seal.
+    let mut s = Sealer::new(
+        SHARD_MAGIC,
+        SHARD_VERSION,
+        16 + counts_snap.len() + ring.len(),
+    );
+    s.u64(wal_offset).u64(counts_snap.len() as u64);
+    let mut bytes = s.seal();
     bytes.extend_from_slice(&counts_snap);
-    if let Some(ring) = ring {
-        bytes.extend_from_slice(ring);
-    }
+    bytes.extend_from_slice(ring);
     write_blob_atomic(path, &bytes)
 }
 
@@ -493,34 +482,18 @@ pub fn write_shard_counts(
 /// ring blob)`, validating the header CRC before trusting the offset.
 pub fn read_shard_counts(
     path: &Path,
-) -> Result<(AggregateCounts, u64, Option<Vec<u8>>), SnapshotError> {
-    let bytes = std::fs::read(path).map_err(SnapshotError::from)?;
-    if bytes.len() < 6 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[0..4] != SHARD_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if version != SHARD_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    const HEADER: usize = 4 + 2 + 8 + 8;
-    if bytes.len() < HEADER + 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    let stored_crc = u32::from_le_bytes(bytes[HEADER..HEADER + 4].try_into().unwrap());
-    if crc32(&bytes[..HEADER]) != stored_crc {
-        return Err(SnapshotError::BadCrc);
-    }
-    let offset = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
-    let counts_len = u64::from_le_bytes(bytes[14..22].try_into().unwrap()) as usize;
-    let body = &bytes[HEADER + 4..];
-    if body.len() < counts_len {
-        return Err(SnapshotError::Truncated);
-    }
-    let counts = AggregateCounts::decode_snapshot(&body[..counts_len])?;
-    let ring = &body[counts_len..];
+) -> Result<(AggregateCounts, u64, Option<Vec<u8>>), BlobError> {
+    const HEADER: usize = 4 + 2 + 8 + 8 + 4;
+    let bytes = std::fs::read(path)?;
+    let header = bytes.get(..HEADER).ok_or(BlobError::Truncated)?;
+    let mut r = open(header, SHARD_MAGIC, SHARD_VERSION)?;
+    let (offset, counts_len) = (r.u64()?, r.u64()?);
+    let body = &bytes[HEADER..];
+    let counts = body
+        .get(..counts_len as usize)
+        .ok_or(BlobError::Truncated)?;
+    let ring = &body[counts.len()..];
+    let counts = AggregateCounts::decode_snapshot(counts)?;
     Ok((counts, offset, (!ring.is_empty()).then(|| ring.to_vec())))
 }
 
@@ -963,16 +936,19 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_shard_counts(&path).unwrap_err(), SnapshotError::BadCrc);
+        assert_eq!(read_shard_counts(&path).unwrap_err(), BlobError::BadCrc);
 
         // Version 1 (never written by any deployment) is rejected like
-        // any other unknown version.
+        // any other unknown version (header CRC re-sealed, so only the
+        // version check can object).
         bytes[8] ^= 0x04;
         bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let crc = crc32(&bytes[..22]);
+        bytes[22..26].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(
             read_shard_counts(&path).unwrap_err(),
-            SnapshotError::UnsupportedVersion(1)
+            BlobError::UnsupportedVersion(1)
         );
 
         // An embedded ring roundtrips alongside the counts.
