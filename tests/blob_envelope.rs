@@ -224,3 +224,248 @@ fn control_frames_golden() {
         123_456_789
     );
 }
+
+// ---- one never-panic suite for every envelope ---------------------------
+
+/// One golden blob plus what the generic checks need to know about its
+/// format.
+struct Envelope {
+    name: &'static str,
+    bytes: Vec<u8>,
+    /// Valid leading bytes the fuzz check keeps: magic + version for a
+    /// sealed blob, the magic alone for a control payload.
+    head: usize,
+    /// Where the envelope's CRC ends: the whole buffer, except for the
+    /// `TSSH` header, which seals only its first 26 bytes.
+    sealed: Option<usize>,
+    /// Offsets of the declared length and count fields (`u64` LE).
+    lengths: Vec<usize>,
+    decode: Box<dyn Fn(&[u8]) -> bool>,
+}
+
+impl Envelope {
+    fn crc_end(&self, len: usize) -> usize {
+        self.sealed.unwrap_or(len).min(len)
+    }
+
+    fn reseal(&self, buf: &mut [u8]) {
+        reseal(buf, self.crc_end(buf.len()));
+    }
+}
+
+/// Recomputes the CRC that ends at `end`, so only the decoder's own
+/// checks can object to the bytes.
+fn reseal(buf: &mut [u8], end: usize) {
+    let crc = trajshare_core::crc32(&buf[..end - 4]);
+    buf[end - 4..end].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn u64_at(buf: &[u8], off: usize) -> usize {
+    u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()) as usize
+}
+
+/// Every golden blob with its decoder. File-based formats decode
+/// through `dir`.
+fn envelopes(dir: &Path) -> Vec<Envelope> {
+    let blob =
+        |name: &'static str, lengths: Vec<usize>, decode: Box<dyn Fn(&[u8]) -> bool>| Envelope {
+            name,
+            bytes: golden(name),
+            head: 6,
+            sealed: None,
+            lengths,
+            decode,
+        };
+    let control = |name: &'static str, decode: Box<dyn Fn(&[u8]) -> bool>| Envelope {
+        name,
+        bytes: golden(name)[4..].to_vec(),
+        head: 4,
+        sealed: None,
+        lengths: vec![],
+        decode,
+    };
+    let counts = || -> Box<dyn Fn(&[u8]) -> bool> {
+        Box::new(|b| AggregateCounts::decode_snapshot(b).is_ok())
+    };
+    let tswr = golden("tswr");
+    let second_window = 70 + 8 + u64_at(&tswr, 70) + 16;
+    let ledger = |name| {
+        let g = golden(name);
+        let history = 80 + 25 * u64_at(&g, 72) + 8;
+        blob(
+            name,
+            vec![72, history],
+            Box::new(|b| WindowBudgetAccountant::decode(b).is_ok()),
+        )
+    };
+    // Cluster frames decode through the socket reader, length prefix
+    // included.
+    let frame = || -> Box<dyn Fn(&[u8]) -> bool> {
+        Box::new(|b| {
+            let mut wire = (b.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(b);
+            trajshare_aggregate::read_cluster_frame(&mut &wire[..]).is_ok()
+        })
+    };
+    let manifest_dir = dir.to_path_buf();
+    let shard = dir.join("shard.counts");
+    let all = vec![
+        blob("tsc1", vec![6, 14], counts()),
+        blob("tsc1_empty", vec![6, 14], counts()),
+        blob(
+            "tswr",
+            vec![46, 70, second_window],
+            Box::new(|b| WindowedAggregator::decode_ring(b, &TILES, WINDOW).is_ok()),
+        ),
+        ledger("tsba_uniform"),
+        ledger("tsba_adaptive"),
+        blob("tscl_pull", vec![], frame()),
+        blob("tscl_grant", vec![], frame()),
+        blob("tscl_snapshot", vec![31], frame()),
+        blob(
+            "tscl_snapshot_ring",
+            vec![31, 40 + u64_at(&golden("tscl_snapshot_ring"), 31)],
+            frame(),
+        ),
+        blob(
+            "tsmf",
+            vec![],
+            Box::new(move |b| {
+                std::fs::write(manifest_dir.join("MANIFEST"), b).unwrap();
+                read_manifest(&manifest_dir).is_ok()
+            }),
+        ),
+        // The shard file was written with a ring, so a reader that finds
+        // none (a prefix cut at the end of the counts) has lost data.
+        Envelope {
+            sealed: Some(26),
+            ..blob(
+                "tssh",
+                vec![14],
+                Box::new(move |b| {
+                    std::fs::write(&shard, b).unwrap();
+                    read_shard_counts(&shard).is_ok_and(|(_, _, ring)| {
+                        ring.is_some_and(|r| {
+                            WindowedAggregator::decode_ring(&r, &TILES, WINDOW).is_ok()
+                        })
+                    })
+                }),
+            )
+        },
+        blob(
+            "tsrg",
+            vec![6, 14],
+            Box::new(|b| decode_region_graph(b).is_ok()),
+        ),
+        control("tsgb", Box::new(|b| GrantFrame::decode_payload(b).is_ok())),
+        control("tsgh", Box::new(|b| HelloFrame::decode_payload(b).is_ok())),
+        control(
+            "tsak",
+            Box::new(|b| trajshare_aggregate::grant::decode_ack_payload(b).is_ok()),
+        ),
+    ];
+    for e in &all {
+        assert!((e.decode)(&e.bytes), "{}: golden must decode", e.name);
+    }
+    all
+}
+
+#[test]
+fn every_strict_prefix_is_refused() {
+    let dir = scratch_dir("prefix");
+    for e in envelopes(&dir) {
+        for i in 0..e.bytes.len() {
+            assert!(!(e.decode)(&e.bytes[..i]), "{}: prefix {i} decoded", e.name);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flip_at_every_byte_is_refused() {
+    let dir = scratch_dir("flip");
+    for e in envelopes(&dir) {
+        for i in 0..e.bytes.len() {
+            let mut bad = e.bytes.clone();
+            bad[i] ^= 0x01;
+            assert!(!(e.decode)(&bad), "{}: flip at byte {i} decoded", e.name);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_lengths_with_valid_crcs_are_refused() {
+    let dir = scratch_dir("lengths");
+    for e in envelopes(&dir) {
+        for &off in &e.lengths {
+            let truth = u64_at(&e.bytes, off) as u64;
+            for v in [0, truth + 1, u32::MAX as u64, u64::MAX] {
+                if v == truth {
+                    continue;
+                }
+                let mut bad = e.bytes.clone();
+                bad[off..off + 8].copy_from_slice(&v.to_le_bytes());
+                e.reseal(&mut bad);
+                assert!(!(e.decode)(&bad), "{}: length {v} at {off} decoded", e.name);
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+    /// Random bytes, then valid magic and version with a random body and
+    /// the CRC recomputed, so the input gets past the envelope to the
+    /// field parsing, which must refuse or accept but never panic.
+    #[test]
+    fn random_bodies_behind_a_valid_envelope_never_panic(
+        body in proptest::collection::vec(0u8..=255, 0..600),
+    ) {
+        let dir = scratch_dir("fuzz");
+        for e in envelopes(&dir) {
+            let _ = (e.decode)(&body);
+            let mut forged = e.bytes[..e.head].to_vec();
+            forged.extend_from_slice(&body);
+            let at = e.crc_end(forged.len() + 4) - 4;
+            forged.splice(at..at, [0u8; 4]);
+            e.reseal(&mut forged);
+            let _ = (e.decode)(&forged);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn forged_ring_window_length_is_refused() {
+    // A `TSWR` ring whose first embedded snapshot claims u64::MAX bytes,
+    // with a valid CRC: the length must be bounds-checked, not added to
+    // the read offset.
+    let mut ring = golden("tswr");
+    ring[70..78].copy_from_slice(&u64::MAX.to_le_bytes());
+    let end = ring.len();
+    reseal(&mut ring, end);
+    assert_eq!(
+        WindowedAggregator::decode_ring(&ring, &TILES, WINDOW),
+        Err(trajshare_core::blob::BlobError::Truncated)
+    );
+}
+
+#[test]
+fn budget_ledger_count_beyond_its_bytes_is_refused() {
+    // A `TSBA` ledger with horizon = u64::MAX (so no count exceeds it)
+    // declaring 2^58 entries, with a valid CRC: the count must be
+    // checked against the bytes left before anything is allocated.
+    let mut ledger = golden("tsba_uniform");
+    ledger[14..22].copy_from_slice(&u64::MAX.to_le_bytes());
+    ledger[72..80].copy_from_slice(&(1u64 << 58).to_le_bytes());
+    let end = ledger.len();
+    reseal(&mut ledger, end);
+    assert_eq!(
+        WindowBudgetAccountant::decode(&ledger),
+        Err(trajshare_core::blob::BlobError::Inconsistent(
+            "declared count vs length"
+        ))
+    );
+}
