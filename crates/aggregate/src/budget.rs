@@ -33,7 +33,7 @@
 //!   gets `total / w`.
 //! * [`AllocationPolicy::Adaptive`] — RetraSyn-style: measure how much
 //!   the published distribution *moved* since the previous window
-//!   ([`count_divergence`] / [`l1_divergence`]) and allocate
+//!   ([`window_divergence`]) and allocate
 //!   proportionally — a stable stream gets a small probe share (its
 //!   unspent budget is *recycled*, i.e. stays available inside the
 //!   horizon), and a shifting stream gets the whole recycled pool when
@@ -52,7 +52,7 @@ use trajshare_core::blob::{open, BlobError, Sealer};
 use trajshare_core::RegionGraph;
 
 /// Nano-ε per ε — the integer grid shared with the report wire format.
-pub const NANO_PER_EPS: u64 = 1_000_000_000;
+pub(crate) const NANO_PER_EPS: u64 = 1_000_000_000;
 
 /// Single rounding ε → nano-ε (the wire-format grid). Non-finite and
 /// non-positive inputs map to 0.
@@ -84,25 +84,8 @@ pub fn l1_divergence(a: &[f64], b: &[f64]) -> f64 {
     0.5 * a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>()
 }
 
-/// Total-variation distance between two *count* vectors, each normalized
-/// to a distribution first — the divergence signal a collector can
-/// compute without any estimation (raw per-window occupancy counters).
-/// An empty side (sum 0) counts as a full shift: with nothing to compare
-/// against, the policy should buy fresh data.
-pub fn count_divergence(a: &[u64], b: &[u64]) -> f64 {
-    let (sa, sb) = (a.iter().sum::<u64>() as f64, b.iter().sum::<u64>() as f64);
-    if sa <= 0.0 || sb <= 0.0 || a.len() != b.len() {
-        return 1.0;
-    }
-    0.5 * a
-        .iter()
-        .zip(b)
-        .map(|(&x, &y)| (x as f64 / sa - y as f64 / sb).abs())
-        .sum::<f64>()
-}
-
 /// RetraSyn-style *significance-tested* divergence between two debiased
-/// per-window distributions. Raw [`count_divergence`] is channel-dependent
+/// per-window distributions. A raw count divergence is channel-dependent
 /// — when consecutive cohorts randomize at different ε′ the occupancy
 /// vectors differ even over a perfectly stationary population, so an
 /// adaptive policy driven by it buys budget to chase its own noise. This
@@ -864,9 +847,6 @@ mod tests {
         assert_eq!(l1_divergence(&[1.0, 0.0], &[1.0, 0.0]), 0.0);
         assert_eq!(l1_divergence(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
         assert_eq!(l1_divergence(&[1.0], &[0.5, 0.5]), 1.0, "length mismatch");
-        assert_eq!(count_divergence(&[10, 10], &[1, 1]), 0.0, "scale-free");
-        assert_eq!(count_divergence(&[10, 0], &[0, 7]), 1.0);
-        assert_eq!(count_divergence(&[0, 0], &[1, 1]), 1.0, "empty side");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! (epoch, watermark), never a second serialization of the counters.
 //!
 //! On the socket each frame is a `u32` payload length (≤
-//! [`MAX_CLUSTER_FRAME_LEN`]) followed by the payload, a sealed blob
+//! `MAX_CLUSTER_FRAME_LEN`) followed by the payload, a sealed blob
 //! (magic, version, body, CRC-32 — see [`trajshare_core::blob`]). Body
 //! of `TSCL` version 1 (all integers little-endian):
 //!
@@ -50,16 +50,16 @@ use std::io::{Read, Write};
 use trajshare_core::blob::{open, BlobError, Reader, Sealer};
 
 /// Cluster frame magic ("TrajShare CLuster").
-pub const CLUSTER_MAGIC: [u8; 4] = *b"TSCL";
+pub(crate) const CLUSTER_MAGIC: [u8; 4] = *b"TSCL";
 
 /// Current cluster protocol version.
-pub const CLUSTER_VERSION: u16 = 1;
+pub(crate) const CLUSTER_VERSION: u16 = 1;
 
 /// Ceiling on one frame's payload. A worker snapshot embeds one counts
 /// blob plus one ring (≤ `num_windows` counts blobs), each `O(|R|²)`
 /// u64s — generous headroom for real universes while keeping a hostile
 /// length prefix from sizing a giant allocation.
-pub const MAX_CLUSTER_FRAME_LEN: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_CLUSTER_FRAME_LEN: usize = 256 * 1024 * 1024;
 
 const KIND_SNAPSHOT_PULL: u8 = 0;
 const KIND_SNAPSHOT: u8 = 1;
@@ -207,7 +207,7 @@ pub fn write_cluster_frame(w: &mut impl Write, frame: &ClusterFrame) -> std::io:
 }
 
 /// Reads one length-prefixed frame from a stream. A declared length of
-/// zero, or above [`MAX_CLUSTER_FRAME_LEN`], is refused *before* any
+/// zero, or above `MAX_CLUSTER_FRAME_LEN`, is refused *before* any
 /// buffer is sized from it.
 pub fn read_cluster_frame(r: &mut impl Read) -> Result<ClusterFrame, BlobError> {
     let mut len_bytes = [0u8; 4];

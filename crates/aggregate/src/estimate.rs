@@ -218,9 +218,9 @@ impl ChannelInverse {
 /// frequency estimate under channel `M`. Non-negative by construction and
 /// far lower-variance than plain inversion when the channel is nearly
 /// uniform (large universes / small ε), at the cost of the small-sample
-/// bias any MLE has. The mobility model uses this for synthesis; the
-/// inversion estimator above stays the unbiased reference for analytics.
-pub fn ibu_frequencies(channel: &EmChannel, counts: &[u64], iters: usize) -> Vec<f64> {
+/// bias any MLE has. The mobility model estimates with IBU; the
+/// inversion estimator above is the unbiased reference the tests check.
+pub(crate) fn ibu_frequencies(channel: &EmChannel, counts: &[u64], iters: usize) -> Vec<f64> {
     ibu_frequencies_with_init(channel, counts, iters, None)
 }
 
@@ -361,7 +361,7 @@ impl IbuSolver {
         self.backend
     }
 
-    /// Unigram IBU (see [`ibu_frequencies_with_init`]) on this solver's
+    /// Unigram IBU (see `ibu_frequencies_with_init`) on this solver's
     /// backend. `Dense` is bit-identical to the free function;
     /// `Blocked`/`SparseW2` run the parallel kernels (the unigram channel
     /// has no `W₂` structure, so `SparseW2` shares the blocked path).
@@ -390,8 +390,8 @@ impl IbuSolver {
     }
 
     /// Joint (transition) IBU on this solver's backend. `Dense`/`Blocked`
-    /// run the separable product-channel model (bit-identical /
-    /// reassociation-identical to [`ibu_joint_with_init`]); `SparseW2`
+    /// run the separable product-channel model `M ⊗ M` (the serial
+    /// reference / its parallel reassociation); `SparseW2`
     /// runs the `W₂`-normalized model over `w2` and **requires** the
     /// pattern. A warm-start `init` is always the dense `n²` layout, so
     /// posteriors survive backend changes (the sparse path projects onto
@@ -796,34 +796,13 @@ impl IbuSolver {
 /// needs hundreds. `init` is floored and renormalized exactly like the
 /// default observation-based start (so zero cells are never locked), and
 /// `None` reproduces [`ibu_frequencies`] bit-for-bit.
-pub fn ibu_frequencies_with_init(
+pub(crate) fn ibu_frequencies_with_init(
     channel: &EmChannel,
     counts: &[u64],
     iters: usize,
     init: Option<&[f64]>,
 ) -> Vec<f64> {
     IbuSolver::new(EstimatorBackend::Dense).frequencies(channel, counts, iters, init)
-}
-
-/// Joint (transition) IBU under the separable product channel `M ⊗ M`.
-/// Each iteration is three `|R|³` matrix products — cubic like one
-/// inversion, linear in the iteration count.
-pub fn ibu_joint(channel: &EmChannel, counts: &[u64], iters: usize) -> Vec<f64> {
-    ibu_joint_with_init(channel, counts, iters, None)
-}
-
-/// [`ibu_joint`] with an explicit starting joint distribution (see
-/// [`ibu_frequencies_with_init`]); `None` reproduces [`ibu_joint`]
-/// bit-for-bit. Warm-starting matters most here — each joint iteration
-/// costs three `|R|³` matrix products, so cutting the iteration count is
-/// what makes a per-tick streaming estimate affordable.
-pub fn ibu_joint_with_init(
-    channel: &EmChannel,
-    counts: &[u64],
-    iters: usize,
-    init: Option<&[f64]>,
-) -> Vec<f64> {
-    IbuSolver::new(EstimatorBackend::Dense).joint(channel, counts, iters, init, None)
 }
 
 /// The shared IBU seed: `start` floored by `1e-3 / cells` and
@@ -1092,10 +1071,6 @@ mod tests {
             ibu_frequencies(&ch, &counts, 50),
             ibu_frequencies_with_init(&ch, &counts, 50, None)
         );
-        assert_eq!(
-            ibu_joint(&ch, &joint_counts, 20),
-            ibu_joint_with_init(&ch, &joint_counts, 20, None)
-        );
         // Warm-starting from a converged posterior of the same counts
         // stays at the fixed point: a few extra iterations barely move.
         let converged = ibu_frequencies(&ch, &counts, 500);
@@ -1106,8 +1081,9 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(drift < 1e-3, "fixed point drifted by {drift}");
-        let converged_j = ibu_joint(&ch, &joint_counts, 300);
-        let warm_j = ibu_joint_with_init(&ch, &joint_counts, 3, Some(&converged_j));
+        let mut dense = IbuSolver::new(EstimatorBackend::Dense);
+        let converged_j = dense.joint(&ch, &joint_counts, 300, None, None);
+        let warm_j = dense.joint(&ch, &joint_counts, 3, Some(&converged_j), None);
         let drift_j: f64 = warm_j
             .iter()
             .zip(&converged_j)
@@ -1165,7 +1141,8 @@ mod tests {
                 .collect();
 
             let dense_f = ibu_frequencies(&channel, &counts, iters);
-            let dense_j = ibu_joint(&channel, &joint_counts, iters);
+            let dense_j = IbuSolver::new(EstimatorBackend::Dense)
+                .joint(&channel, &joint_counts, iters, None, None);
 
             let mut solver = IbuSolver::new(EstimatorBackend::Dense);
             prop_assert_eq!(&solver.frequencies(&channel, &counts, iters, None), &dense_f);

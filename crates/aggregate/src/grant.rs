@@ -47,7 +47,7 @@ use crate::snapshot::crc32;
 /// Largest declared control-frame payload a decoder will buffer. Control
 /// payloads are tens of bytes; anything bigger is a corrupt or hostile
 /// length header and is rejected before allocation.
-pub const MAX_CONTROL_FRAME_LEN: u32 = 64;
+pub(crate) const MAX_CONTROL_FRAME_LEN: u32 = 64;
 
 /// One epoch-tagged per-window ε′ announcement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,7 @@ impl GrantFrame {
     }
 
     /// The frame payload (no length prefix) as a stack array — what
-    /// [`write_control_frame`] scatter-gathers onto a socket without a
+    /// `write_control_frame` scatter-gathers onto a socket without a
     /// heap allocation.
     pub fn payload(&self) -> [u8; Self::PAYLOAD_LEN] {
         let mut p = [0u8; Self::PAYLOAD_LEN];
@@ -189,7 +189,7 @@ impl HelloFrame {
 }
 
 /// Framed-ack magic ("TrajShare AcK").
-pub const ACK_MAGIC: [u8; 4] = *b"TSAK";
+pub(crate) const ACK_MAGIC: [u8; 4] = *b"TSAK";
 /// Exact `TSAK` payload length.
 pub const ACK_PAYLOAD_LEN: usize = 4 + 8 + 4;
 
@@ -202,7 +202,7 @@ pub fn encode_ack_frame_into(acked: u64, out: &mut Vec<u8>) {
 /// The `TSAK` payload for a cumulative ack as a stack array — the hot
 /// ack path builds this and [`write_control_frame`]s it: no heap
 /// allocation, one scatter-gather write.
-pub fn ack_payload(acked: u64) -> [u8; ACK_PAYLOAD_LEN] {
+pub(crate) fn ack_payload(acked: u64) -> [u8; ACK_PAYLOAD_LEN] {
     let mut p = [0u8; ACK_PAYLOAD_LEN];
     p[0..4].copy_from_slice(&ACK_MAGIC);
     p[4..12].copy_from_slice(&acked.to_le_bytes());
@@ -215,7 +215,7 @@ pub fn ack_payload(acked: u64) -> [u8; ACK_PAYLOAD_LEN] {
 /// vectored write — the (length-prefix, payload) iovec pair, replacing
 /// the assemble-then-`write_all` copy on every control-frame writer
 /// (server acks, router client acks, grant broadcasts).
-pub fn write_control_frame<W: std::io::Write + ?Sized>(
+pub(crate) fn write_control_frame<W: std::io::Write + ?Sized>(
     w: &mut W,
     payload: &[u8],
 ) -> std::io::Result<()> {
@@ -360,7 +360,7 @@ pub struct GrantBoard {
 /// grant-session connection. The connection's own handler writes its
 /// `TSAK` acks through the same lock, so acks and pushed grants never
 /// interleave mid-frame.
-pub type GrantSubscriber = std::sync::Arc<std::sync::Mutex<dyn std::io::Write + Send>>;
+pub(crate) type GrantSubscriber = std::sync::Arc<std::sync::Mutex<dyn std::io::Write + Send>>;
 
 struct BoardInner {
     current: Option<GrantFrame>,

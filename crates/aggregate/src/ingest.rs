@@ -18,7 +18,7 @@ use rayon::prelude::*;
 use trajshare_core::{kernels, RegionSet};
 
 /// Hour tiles per day for the (region, timestep) view.
-pub const TILES_PER_DAY: usize = 24;
+pub(crate) const TILES_PER_DAY: usize = 24;
 
 /// Dense population counters. All fields are plain sums, so two counter
 /// sets over disjoint report batches merge by addition.
@@ -246,13 +246,11 @@ pub struct Aggregator {
     counts: AggregateCounts,
     /// Midpoint hour tile per region, precomputed from the region set.
     region_tile: Vec<u16>,
-    /// Reports per rayon shard in [`Aggregator::ingest_batch`].
-    shard_size: usize,
 }
 
 impl Aggregator {
-    /// Default reports-per-shard for batch ingestion.
-    pub const DEFAULT_SHARD_SIZE: usize = 4096;
+    /// Reports per rayon shard in [`Aggregator::ingest_batch`].
+    const SHARD_SIZE: usize = 4096;
 
     /// Builds an aggregator for the given decomposed region universe.
     pub fn new(regions: &RegionSet) -> Self {
@@ -269,15 +267,7 @@ impl Aggregator {
         Aggregator {
             counts: AggregateCounts::new(region_tile.len()),
             region_tile,
-            shard_size: Self::DEFAULT_SHARD_SIZE,
         }
-    }
-
-    /// Overrides the batch shard size (mainly for benchmarks).
-    pub fn with_shard_size(mut self, shard_size: usize) -> Self {
-        assert!(shard_size > 0);
-        self.shard_size = shard_size;
-        self
     }
 
     /// The counters accumulated so far.
@@ -311,7 +301,7 @@ impl Aggregator {
         let tiles = &self.region_tile;
         let num_regions = self.counts.num_regions;
         let batch = reports
-            .par_chunks(self.shard_size)
+            .par_chunks(Self::SHARD_SIZE)
             .map(|shard| {
                 let mut local = AggregateCounts::new(num_regions);
                 for report in shard {
@@ -349,7 +339,7 @@ pub fn region_tiles(regions: &RegionSet) -> Vec<u16> {
 /// plausible LDP deployment and is treated as hostile input: admitting an
 /// arbitrary f64 here would let one client poison the channel mean every
 /// estimate is debiased with.
-pub const MAX_EPS_PRIME: f64 = 64.0;
+pub(crate) const MAX_EPS_PRIME: f64 = 64.0;
 
 /// The single-report accumulation kernel shared by serial and sharded
 /// ingestion (and the sliding-window ring in [`crate::stream`]).

@@ -34,7 +34,7 @@ use trajshare_model::{Dataset, TrajectorySet};
 /// [`crate::pipeline::collect_reports`]). Trajectories that do not encode
 /// into the region universe are skipped, like the n-gram pipeline skips
 /// nothing only because encoding is total for valid data.
-pub fn ldptrace_collect(
+pub(crate) fn ldptrace_collect(
     dataset: &Dataset,
     regions: &RegionSet,
     graph: &RegionGraph,
@@ -59,7 +59,7 @@ pub fn ldptrace_collect(
 /// Closed-form unbiased k-RR frequency estimate from raw report counts,
 /// made consistent with [`norm_sub`]. `eps_report` is the budget of the
 /// *individual* randomized-response draw (ε/4 for LDPTrace clients).
-pub fn debias_krr_counts(counts: &[u64], eps_report: f64) -> Vec<f64> {
+pub(crate) fn debias_krr_counts(counts: &[u64], eps_report: f64) -> Vec<f64> {
     let k = counts.len();
     let n: u64 = counts.iter().sum();
     if k == 0 {
@@ -92,7 +92,7 @@ pub fn debias_krr_counts(counts: &[u64], eps_report: f64) -> Vec<f64> {
 /// row-normalized onto feasible successors, occupancy as the renormalized
 /// start/end average (LDPTrace reports no interior points), and the
 /// privatized length model.
-pub fn ldptrace_model(
+pub(crate) fn ldptrace_model(
     graph: &RegionGraph,
     observations: &[LdpTraceObservation],
     epsilon: f64,

@@ -71,33 +71,26 @@ pub mod synthesize;
 
 pub use batch::{BatchEncoder, BatchRow, ReportBatch};
 pub use budget::{
-    count_divergence, eps_to_nano, l1_divergence, nano_to_eps, significance_divergence,
-    window_divergence, AllocationPolicy, GrantRecord, WindowBudgetAccountant, WindowBudgetConfig,
-    WindowDecision, WindowGrant,
+    eps_to_nano, l1_divergence, nano_to_eps, significance_divergence, window_divergence,
+    AllocationPolicy, GrantRecord, WindowBudgetAccountant, WindowBudgetConfig, WindowDecision,
+    WindowGrant,
 };
 pub use clusterproto::{
     decode_cluster_frame, encode_cluster_frame, read_cluster_frame, write_cluster_frame,
-    ClusterFrame, WorkerSnapshot, CLUSTER_MAGIC, CLUSTER_VERSION, MAX_CLUSTER_FRAME_LEN,
+    ClusterFrame, WorkerSnapshot,
 };
 pub use engine::{BudgetPublication, Decisions, PublicationEngine};
-pub use estimate::{
-    ibu_frequencies, ibu_frequencies_with_init, ibu_joint, ibu_joint_with_init, norm_sub,
-    ChannelInverse, EmChannel, EstimatorBackend, IbuSolver,
-};
+pub use estimate::{norm_sub, ChannelInverse, EmChannel, EstimatorBackend, IbuSolver};
 pub use eval::{score_paired, EvalConfig, UtilityScores};
 pub use grant::{
-    ControlDecoder, ControlFrame, GrantBoard, GrantFrame, GrantSubscriber, HelloFrame,
-    ServerSession, SessionFault,
+    ControlDecoder, ControlFrame, GrantBoard, GrantFrame, HelloFrame, ServerSession, SessionFault,
 };
-pub use ingest::{aggregate_reports, region_tiles, AggregateCounts, Aggregator, TILES_PER_DAY};
-pub use ldptrace::{
-    debias_krr_counts, ldptrace_collect, ldptrace_model, ldptrace_publish_matching,
-};
+pub use ingest::{aggregate_reports, region_tiles, AggregateCounts, Aggregator};
+pub use ldptrace::ldptrace_publish_matching;
 pub use linalg::CsrPattern;
 pub use markov::{FrequencyEstimator, MobilityModel};
 pub use pipeline::{
-    aggregate_and_synthesize, aggregate_and_synthesize_matching,
-    aggregate_and_synthesize_matching_with, aggregate_and_synthesize_with, collect_reports,
+    aggregate_and_synthesize_matching, aggregate_and_synthesize_matching_with, collect_reports,
     user_seed, SynthesisOutcome,
 };
 pub use publish::PublishedStream;

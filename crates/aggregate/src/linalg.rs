@@ -4,17 +4,17 @@
 //! and this module owns all of them so [`crate::estimate`] can stay pure
 //! orchestration:
 //!
-//! * dense blocked matmul ([`matmul`], [`matmul_nt`]) — row-parallel
+//! * dense blocked matmul (`matmul`, `matmul_nt`) — row-parallel
 //!   (rayon), with per-element accumulation in ascending-`k` order so the
 //!   `Blocked` backend reproduces the serial reference **bit for bit**
 //!   (parallelism partitions output rows; it never re-associates a sum),
 //! * sparse-times-dense products over an explicit sparsity pattern
-//!   ([`spmm`], [`gather_nt`]) — `O(nnz·n)` instead of `O(n³)`,
-//! * pattern-restricted products ([`restricted_nt`]) that evaluate
+//!   (`spmm`, `gather_nt`) — `O(nnz·n)` instead of `O(n³)`,
+//! * pattern-restricted products (`restricted_nt`) that evaluate
 //!   `A·Bᵀ` *only* at the cells of a [`CsrPattern`] — the kernel that
 //!   makes `W₂`-aware joint IBU `O(|W₂|·|R|)` per iteration,
 //! * the one-off feasibility normalizer `Z(x, x′)`
-//!   ([`w2_normalizers`]).
+//!   (`w2_normalizers`).
 //!
 //! [`CsrPattern`] is the compressed-sparse-row face of
 //! `RegionGraph::successor_csr` (LDPTrace's observation: real `W₂` sets
@@ -152,7 +152,7 @@ impl CsrPattern {
 /// Writes `Aᵀ` into `out` (row-major `n×n`). The estimators transpose
 /// the channel once per solve so every later kernel reads contiguous
 /// rows instead of strided columns.
-pub fn transpose(a: &[f64], n: usize, out: &mut [f64]) {
+pub(crate) fn transpose(a: &[f64], n: usize, out: &mut [f64]) {
     assert_eq!(a.len(), n * n);
     assert_eq!(out.len(), n * n);
     out.par_chunks_mut(n).enumerate().for_each(|(x, row)| {
@@ -167,7 +167,7 @@ pub fn transpose(a: &[f64], n: usize, out: &mut [f64]) {
 /// skip-zero rule as the serial reference, so the result is bit-identical
 /// to the naive triple loop — threads partition rows, they never split a
 /// sum.
-pub fn matmul(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
+pub(crate) fn matmul(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
     assert_eq!(out.len(), n * n);
@@ -189,7 +189,7 @@ pub fn matmul(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
 /// `out = A·Bᵀ` (row-major `n×n`): `out[i][j] = dot(a_row_i, b_row_j)`,
 /// parallel over output rows, dot products in ascending index order
 /// (bit-identical to the serial reference).
-pub fn matmul_nt(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
+pub(crate) fn matmul_nt(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
     assert_eq!(out.len(), n * n);
@@ -210,7 +210,7 @@ pub fn matmul_nt(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
 /// output, `O(nnz·n)` work, parallel over output rows. Accumulation per
 /// element runs over `x` in ascending order, matching what a dense
 /// matmul against the scattered `G` would do.
-pub fn spmm(m: &[f64], pattern: &CsrPattern, vals: &[f64], out: &mut [f64]) {
+pub(crate) fn spmm(m: &[f64], pattern: &CsrPattern, vals: &[f64], out: &mut [f64]) {
     let n = pattern.len();
     assert_eq!(m.len(), n * n);
     assert_eq!(vals.len(), pattern.nnz());
@@ -232,7 +232,7 @@ pub fn spmm(m: &[f64], pattern: &CsrPattern, vals: &[f64], out: &mut [f64]) {
 /// `out[i][j] = Σ_{j′ ∈ pattern.row(j)} a[i][j′]` — `A·Pᵀ` for the 0/1
 /// pattern matrix, `O(nnz·n)`, parallel over output rows. The building
 /// block of the `W₂` normalizer.
-pub fn gather_nt(a: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
+pub(crate) fn gather_nt(a: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
     let n = pattern.len();
     assert_eq!(a.len(), n * n);
     assert_eq!(out.len(), n * n);
@@ -252,7 +252,7 @@ pub fn gather_nt(a: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
 /// `out[k] = dot(a_row_i, b_row_j)`. This is the `O(|W₂|·|R|)` kernel —
 /// it never evaluates a cell outside the pattern. Parallel over pattern
 /// rows (each row's value range is a disjoint slice of `out`).
-pub fn restricted_nt(a: &[f64], b: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
+pub(crate) fn restricted_nt(a: &[f64], b: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
     let n = pattern.len();
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
@@ -285,7 +285,7 @@ pub fn restricted_nt(a: &[f64], b: &[f64], pattern: &CsrPattern, out: &mut [f64]
 /// not per iteration. With the full pattern every `Z` is 1 (column
 /// stochasticity), which is exactly why the dense model is the
 /// full-product special case.
-pub fn w2_normalizers(mt: &[f64], pattern: &CsrPattern, ct: &mut [f64], z: &mut [f64]) {
+pub(crate) fn w2_normalizers(mt: &[f64], pattern: &CsrPattern, ct: &mut [f64], z: &mut [f64]) {
     // ct[x′][y] = Σ_{y′ ∈ succ(y)} M[y′|x′]
     gather_nt(mt, pattern, ct);
     // z[(x, x′)] = Σ_y M[y|x] · ct[x′][y]

@@ -3,7 +3,7 @@
 //! LDPTrace-style decomposition: a start distribution over regions, a
 //! first-order Markov transition matrix restricted to the feasible bigram
 //! universe `W₂`, an end distribution, and a (public) trajectory-length
-//! model. Every frequency is debiased through the EM channel inverse
+//! model. Every frequency is debiased by IBU through the EM channel
 //! ([`crate::estimate`]) and made consistent with
 //! [`crate::estimate::norm_sub`].
 
@@ -15,11 +15,6 @@ use trajshare_core::{RegionGraph, RegionId};
 /// How population frequencies are recovered from the EM channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrequencyEstimator {
-    /// Exact channel inversion + norm-sub: *unbiased*, but its variance
-    /// blows up when the channel is nearly uniform (small ε′ or large
-    /// region universes). The right choice for analytics that will be
-    /// averaged further.
-    Inversion,
     /// Iterative Bayesian Update (maximum likelihood): non-negative by
     /// construction and dramatically lower variance on flat channels —
     /// the right choice for driving a synthesizer.
@@ -74,9 +69,9 @@ pub struct MobilityModel {
     pub transition: Vec<f64>,
     /// Trajectory-length distribution (index = |τ|).
     pub length: Vec<f64>,
-    /// Whether the EM channel was actually inverted (`false` = the channel
-    /// was numerically singular and raw frequencies were used unbiased by
-    /// anything — logged so experiments can tell the difference).
+    /// Whether the counts were debiased through the EM channel (`false` =
+    /// no report carried a positive ε′, so raw frequencies were used —
+    /// logged so experiments can tell the difference).
     pub debiased: bool,
 }
 
@@ -103,36 +98,18 @@ impl MobilityModel {
         } else {
             None
         };
-        let inverse = match (&channel, estimator) {
-            (Some(ch), FrequencyEstimator::Inversion) => ch.inverse(),
-            _ => None,
-        };
-        let debiased = match estimator {
-            FrequencyEstimator::Ibu { .. } => channel.is_some(),
-            FrequencyEstimator::Inversion => inverse.is_some(),
-        };
+        let debiased = channel.is_some();
+        let FrequencyEstimator::Ibu { iters, backend } = estimator;
         // One solver serves all four estimates, so the kernel scratch is
         // allocated once per fit; the W₂ pattern is exported only when
         // the sparse backend will consume it.
-        let mut solver = match estimator {
-            FrequencyEstimator::Ibu { backend, .. } => IbuSolver::new(backend),
-            FrequencyEstimator::Inversion => IbuSolver::default(),
-        };
-        let w2 = match estimator {
-            FrequencyEstimator::Ibu {
-                backend: EstimatorBackend::SparseW2,
-                ..
-            } => Some(CsrPattern::from_graph(graph)),
-            _ => None,
-        };
+        let mut solver = IbuSolver::new(backend);
+        let w2 = (backend == EstimatorBackend::SparseW2).then(|| CsrPattern::from_graph(graph));
 
         let debias_vec = |solver: &mut IbuSolver, c: &[u64]| -> Vec<f64> {
-            let mut est = match (estimator, &channel, &inverse) {
-                (FrequencyEstimator::Ibu { iters, .. }, Some(ch), _) => {
-                    solver.frequencies(ch, c, iters, None)
-                }
-                (FrequencyEstimator::Inversion, _, Some(inv)) => inv.debias_frequencies(c),
-                _ => normalize_counts(c),
+            let mut est = match &channel {
+                Some(ch) => solver.frequencies(ch, c, iters, None),
+                None => normalize_counts(c),
             };
             norm_sub(&mut est);
             est
@@ -149,12 +126,9 @@ impl MobilityModel {
             debias_vec(&mut solver, &counts.occupancy)
         };
 
-        let mut joint = match (estimator, &channel, &inverse) {
-            (FrequencyEstimator::Ibu { iters, .. }, Some(ch), _) => {
-                solver.joint(ch, &counts.transitions, iters, None, w2.as_ref())
-            }
-            (FrequencyEstimator::Inversion, _, Some(inv)) => inv.debias_matrix(&counts.transitions),
-            _ => normalize_counts(&counts.transitions),
+        let mut joint = match &channel {
+            Some(ch) => solver.joint(ch, &counts.transitions, iters, None, w2.as_ref()),
+            None => normalize_counts(&counts.transitions),
         };
         norm_sub(&mut joint);
         let transition = joint_to_feasible_rows(&joint, graph);

@@ -48,55 +48,10 @@ pub struct SynthesisOutcome {
 }
 
 /// Server-side half of the pipeline: aggregate `reports`, estimate the
-/// mobility model, and synthesize `count_out` trajectories (lengths from
-/// the reported length histogram). `mech` supplies the public region
-/// universe — the server builds it from public knowledge exactly as
-/// clients do.
-pub fn aggregate_and_synthesize(
-    dataset: &Dataset,
-    mech: &NGramMechanism,
-    reports: &[Report],
-    count_out: usize,
-    seed: u64,
-) -> SynthesisOutcome {
-    aggregate_and_synthesize_with(
-        dataset,
-        mech,
-        reports,
-        count_out,
-        seed,
-        FrequencyEstimator::default(),
-    )
-}
-
-/// [`aggregate_and_synthesize`] with an explicit estimator — the hook
-/// that threads an [`crate::estimate::EstimatorBackend`] choice through
-/// the whole batch pipeline.
-pub fn aggregate_and_synthesize_with(
-    dataset: &Dataset,
-    mech: &NGramMechanism,
-    reports: &[Report],
-    count_out: usize,
-    seed: u64,
-    estimator: FrequencyEstimator,
-) -> SynthesisOutcome {
-    let mut aggregator = Aggregator::new(mech.regions());
-    aggregator.ingest_batch(reports);
-    let counts = aggregator.into_counts();
-    let model = MobilityModel::estimate_with(&counts, mech.graph(), estimator);
-    let synthesizer = Synthesizer::new(dataset, mech.regions(), mech.graph(), &model);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let synthetic = synthesizer.synthesize(count_out, &mut rng);
-    SynthesisOutcome {
-        synthetic,
-        model,
-        counts,
-    }
-}
-
-/// Like [`aggregate_and_synthesize`] but producing one synthetic
-/// trajectory per report, index-paired by length — the shape paired
-/// utility measures need.
+/// mobility model, and synthesize one trajectory per report, index-paired
+/// by length — the shape paired utility measures need. `mech` supplies
+/// the public region universe — the server builds it from public
+/// knowledge exactly as clients do.
 pub fn aggregate_and_synthesize_matching(
     dataset: &Dataset,
     mech: &NGramMechanism,

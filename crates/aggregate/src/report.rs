@@ -189,12 +189,6 @@ impl Report {
         self
     }
 
-    /// Number of unigram observations.
-    #[inline]
-    pub fn num_observations(&self) -> usize {
-        self.unigrams.len()
-    }
-
     /// ε′ as integer nano-ε — the exact value carried on the wire and
     /// summed by the budget accountant.
     #[inline]

@@ -34,10 +34,10 @@ use std::path::Path;
 use trajshare_core::blob::{open, write_blob_atomic, BlobError, Sealer};
 
 /// Snapshot magic ("TrajShare Counts v1").
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSC1";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"TSC1";
 
 /// The one snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub(crate) const SNAPSHOT_VERSION: u16 = 2;
 
 /// The workspace-shared IEEE CRC-32 (defined once in
 /// [`trajshare_core::crc`], re-exported here for the service's

@@ -20,16 +20,17 @@ use trajshare_model::{Dataset, Trajectory, TrajectorySet};
 /// Attempts at drawing a region path before giving up on a length.
 const PATH_RETRIES: usize = 16;
 
+/// Rejection-sampling cap for POI-level concretization (the paper's γ;
+/// synthesis tolerates a much smaller cap than the mechanism because a
+/// failed draw falls back to time smoothing, not to an error).
+const GAMMA: usize = 200;
+
 /// Generates synthetic trajectories from a [`MobilityModel`].
 #[derive(Debug, Clone)]
 pub struct Synthesizer<'a> {
     dataset: &'a Dataset,
     regions: &'a RegionSet,
     model: &'a MobilityModel,
-    /// Rejection-sampling cap for POI-level concretization (the paper's γ;
-    /// synthesis tolerates a much smaller cap than the mechanism because a
-    /// failed draw falls back to time smoothing, not to an error).
-    gamma: usize,
 }
 
 impl<'a> Synthesizer<'a> {
@@ -50,15 +51,7 @@ impl<'a> Synthesizer<'a> {
             dataset,
             regions,
             model,
-            gamma: 200,
         }
-    }
-
-    /// Overrides the POI-level rejection cap.
-    pub fn with_gamma(mut self, gamma: usize) -> Self {
-        assert!(gamma >= 1);
-        self.gamma = gamma;
-        self
     }
 
     /// Draws one synthetic trajectory of exactly `len` points, or `None`
@@ -70,7 +63,7 @@ impl<'a> Synthesizer<'a> {
             self.dataset,
             self.regions,
             &path,
-            self.gamma,
+            GAMMA,
             rng,
             |ds, p| ds.pois.get(p).popularity,
         );
@@ -129,7 +122,7 @@ impl<'a> Synthesizer<'a> {
                             self.dataset,
                             self.regions,
                             &path,
-                            self.gamma,
+                            GAMMA,
                             rng,
                             |ds, p| ds.pois.get(p).popularity,
                         )

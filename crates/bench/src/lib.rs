@@ -11,7 +11,7 @@ pub mod runner;
 pub mod scenario;
 
 pub use args::Args;
-pub use report::{write_json, Reported};
+pub use report::Reported;
 pub use runner::{build_methods, run_method, MethodRun};
 pub use scenario::{build_scenario, Scenario, ScenarioConfig};
 

@@ -48,13 +48,13 @@ impl Reported {
 /// manifest rather than the process CWD, so the experiment binaries'
 /// result artifacts land in one place wherever they are invoked from
 /// (they are checked in).
-pub fn results_dir() -> std::path::PathBuf {
+pub(crate) fn results_dir() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
 /// Writes the report as JSON under `results/<id>.json` (creating the
 /// directory), so `run_all` can assemble EXPERIMENTS.md.
-pub fn write_json(report: &Reported, results_dir: &Path) -> std::io::Result<()> {
+pub(crate) fn write_json(report: &Reported, results_dir: &Path) -> std::io::Result<()> {
     std::fs::create_dir_all(results_dir)?;
     let path = results_dir.join(format!("{}.json", report.id));
     let f = std::fs::File::create(path)?;

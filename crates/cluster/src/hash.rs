@@ -22,7 +22,7 @@ use trajshare_aggregate::{BatchRow, Report, ReportBatch};
 /// Splitmix64 finalizer — the workspace's deterministic mixing idiom
 /// (`loadgen`, `user_seed`).
 #[inline]
-pub fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -67,7 +67,7 @@ pub fn report_key(report: &Report, payload: &[u8]) -> u64 {
 /// it equals `report_key(&r, &r.encode())` for the same report without
 /// building the `Report` or its bytes — a report's home worker does not
 /// depend on how it was framed.
-pub fn column_key(batch: &ReportBatch, row: &BatchRow) -> u64 {
+pub(crate) fn column_key(batch: &ReportBatch, row: &BatchRow) -> u64 {
     if row.uni.len() == 1 {
         return region_key(batch.uni_region[row.uni.start]);
     }

@@ -48,5 +48,5 @@ pub mod router;
 pub use coord::{
     pull_snapshot, snapshot_fingerprint, ClusterView, CoordConfig, Coordinator, WorkerStatus,
 };
-pub use hash::{column_key, report_key, HashRing};
+pub use hash::{report_key, HashRing};
 pub use router::{Router, RouterConfig, RouterHandle, RouterStats};

@@ -16,7 +16,7 @@
 //! read `u64` acks — the last one is the durable total. The router
 //! routes **frames, not reports**. A client handler decodes each frame
 //! into column scratch, computes every report's placement key straight
-//! from the columns ([`column_key`] — no `Report`, no re-encode) and
+//! from the columns (`column_key` — no `Report`, no re-encode) and
 //! appends the row to a per-connection staging batch per
 //! (worker, ε′, |τ|); a single-report frame decodes as a batch of one,
 //! so there is one path. Staging re-bases timestamps instead of splitting on an

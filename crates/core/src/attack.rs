@@ -3,117 +3,20 @@
 //! The paper argues an adversary with full public knowledge "cannot use
 //! this information to learn meaningful information with high probability".
 //! This module makes that claim checkable: a Bayesian adversary who knows
-//! the mechanism, the candidate universe and a prior over inputs computes
-//! the exact posterior over true bigrams given an observed perturbed
-//! bigram. ε-LDP bounds the posterior-to-prior odds update by `e^ε'` per
-//! window — which the tests verify — and the empirical recovery rate of the
-//! MAP attacker quantifies residual leakage.
+//! the mechanism, the candidate universe and a prior over region paths
+//! decodes the exact MAP path from an observed perturbed multiset `Z`.
+//! ε-LDP bounds the posterior-to-prior odds update by `e^ε'` per window
+//! (`tests/privacy.rs` audits that ratio on the sampler itself), and the
+//! empirical recovery rate of the MAP attacker quantifies residual leakage.
 
 use crate::perturb::PerturbedWindow;
 use crate::region::RegionId;
 use crate::regiongraph::RegionGraph;
-use rand::Rng;
 
 /// Mass floor for prior probabilities: a published model's zeros are
 /// estimation artifacts, not hard evidence, so the attacker never lets a
 /// prior veto a feasible path outright.
 const PRIOR_FLOOR: f64 = 1e-12;
-
-/// A window-level Bayesian adversary against the n-gram EM (bigrams).
-#[derive(Debug, Clone, Copy)]
-pub struct WindowAdversary<'a> {
-    graph: &'a RegionGraph,
-    eps_prime: f64,
-}
-
-impl<'a> WindowAdversary<'a> {
-    /// Creates the adversary for a given per-window budget.
-    pub fn new(graph: &'a RegionGraph, eps_prime: f64) -> Self {
-        assert!(eps_prime > 0.0 && eps_prime.is_finite());
-        Self { graph, eps_prime }
-    }
-
-    /// Exact likelihood `P(z | x)` of observing output bigram `z` when the
-    /// true bigram is `x`, under the §5.4 EM over `W₂`.
-    pub fn likelihood(&self, z: (RegionId, RegionId), x: (RegionId, RegionId)) -> f64 {
-        let sens = self.graph.distance.ngram_sensitivity(2);
-        let scale = self.eps_prime / (2.0 * sens);
-        let weight = |out: (u32, u32)| -> f64 {
-            let d = self.graph.distance.get(x.0, RegionId(out.0))
-                + self.graph.distance.get(x.1, RegionId(out.1));
-            (-scale * d).exp()
-        };
-        let total: f64 = self.graph.bigrams.iter().map(|&e| weight(e)).sum();
-        weight((z.0 .0, z.1 .0)) / total
-    }
-
-    /// Posterior over all candidate true bigrams in `W₂` given observation
-    /// `z` and a prior (same length/order as `graph.bigrams`). Returns a
-    /// normalized distribution.
-    pub fn posterior(&self, z: (RegionId, RegionId), prior: &[f64]) -> Vec<f64> {
-        assert_eq!(prior.len(), self.graph.bigrams.len(), "prior must cover W₂");
-        let mut post: Vec<f64> = self
-            .graph
-            .bigrams
-            .iter()
-            .zip(prior)
-            .map(|(&(a, b), &p)| p * self.likelihood(z, (RegionId(a), RegionId(b))))
-            .collect();
-        let total: f64 = post.iter().sum();
-        assert!(total > 0.0, "degenerate posterior");
-        for v in &mut post {
-            *v /= total;
-        }
-        post
-    }
-
-    /// MAP estimate: the most likely true bigram under the posterior.
-    pub fn map_estimate(&self, z: (RegionId, RegionId), prior: &[f64]) -> (RegionId, RegionId) {
-        let post = self.posterior(z, prior);
-        let best = post
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty W₂");
-        let (a, b) = self.graph.bigrams[best];
-        (RegionId(a), RegionId(b))
-    }
-
-    /// Empirical recovery rate: how often the MAP attacker (uniform prior)
-    /// exactly recovers the true bigram over `trials` mechanism runs.
-    pub fn empirical_recovery_rate<R: Rng + ?Sized>(
-        &self,
-        truth: (RegionId, RegionId),
-        trials: usize,
-        rng: &mut R,
-    ) -> f64 {
-        let prior = vec![1.0 / self.graph.bigrams.len() as f64; self.graph.bigrams.len()];
-        let mut hits = 0usize;
-        for _ in 0..trials {
-            let z =
-                crate::perturb::sample_window(self.graph, &[truth.0, truth.1], self.eps_prime, rng);
-            if self.map_estimate((z[0], z[1]), &prior) == truth {
-                hits += 1;
-            }
-        }
-        hits as f64 / trials as f64
-    }
-
-    /// The maximum posterior-to-prior odds-ratio update over all pairs of
-    /// candidate inputs for observation `z` — bounded by `e^{ε'}` under
-    /// ε'-LDP (Definition 4.2 rearranged).
-    pub fn max_odds_update(&self, z: (RegionId, RegionId)) -> f64 {
-        let mut max_l: f64 = 0.0;
-        let mut min_l = f64::INFINITY;
-        for &(a, b) in &self.graph.bigrams {
-            let l = self.likelihood(z, (RegionId(a), RegionId(b)));
-            max_l = max_l.max(l);
-            min_l = min_l.min(l);
-        }
-        max_l / min_l
-    }
-}
 
 /// A path-space prior for [`TrajectoryAdversary`]: typically the *published*
 /// population model (start distribution + row-major `|R|²` transition
@@ -130,12 +33,12 @@ pub struct PathPrior<'a> {
 
 /// A whole-trajectory MAP adversary against the §5.4 n-gram EM.
 ///
-/// Lifts [`WindowAdversary`] from single windows to the full perturbed
-/// multiset `Z`: the exact window likelihood factorizes into per-position
-/// distance terms plus a per-window normalizer, so the joint posterior over
-/// region *paths* is a chain model and exact MAP decoding is a Viterbi pass
-/// over the `W₂` lattice — the attacker-side mirror of the §5.5
-/// reconstruction (which optimizes expected error, not recovery).
+/// Decodes the full perturbed multiset `Z`: the exact window likelihood
+/// `P(z_w | x)` of the §5.4 EM factorizes into per-position distance
+/// terms plus a per-window normalizer, so the joint posterior over region
+/// *paths* is a chain model and exact MAP decoding is a Viterbi pass over
+/// the `W₂` lattice — the attacker-side mirror of the §5.5 reconstruction
+/// (which optimizes expected error, not recovery).
 ///
 /// Per candidate fragment `x` the EM gives
 /// `ln P(z_w | x) = Σ_j −s·d(x_j, z_j) − ln Z_k(x)` with
@@ -434,81 +337,6 @@ mod tests {
         let rs = decompose(&ds, &cfg);
         let g = RegionGraph::build(&ds, &rs);
         (ds, rs, g)
-    }
-
-    #[test]
-    fn likelihoods_normalize_over_outputs() {
-        let (_, _, g) = graph();
-        let adv = WindowAdversary::new(&g, 1.0);
-        let x = (RegionId(g.bigrams[0].0), RegionId(g.bigrams[0].1));
-        let total: f64 = g
-            .bigrams
-            .iter()
-            .map(|&(a, b)| adv.likelihood((RegionId(a), RegionId(b)), x))
-            .sum();
-        assert!((total - 1.0).abs() < 1e-9, "likelihoods sum to {total}");
-    }
-
-    #[test]
-    fn odds_update_bounded_by_exp_eps_prime() {
-        let (_, _, g) = graph();
-        for eps in [0.5, 1.0, 2.0] {
-            let adv = WindowAdversary::new(&g, eps);
-            let &(a, b) = &g.bigrams[g.bigrams.len() / 2];
-            let update = adv.max_odds_update((RegionId(a), RegionId(b)));
-            assert!(
-                update <= eps.exp() + 1e-6,
-                "ε'={eps}: odds update {update} exceeds e^ε' = {}",
-                eps.exp()
-            );
-        }
-    }
-
-    #[test]
-    fn posterior_is_proper_and_prior_sensitive() {
-        let (_, _, g) = graph();
-        let adv = WindowAdversary::new(&g, 1.0);
-        let z = (RegionId(g.bigrams[1].0), RegionId(g.bigrams[1].1));
-        let n = g.bigrams.len();
-        let uniform = vec![1.0 / n as f64; n];
-        let post = adv.posterior(z, &uniform);
-        assert!((post.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // A spiked prior dominates a weak likelihood at small ε'.
-        let weak = WindowAdversary::new(&g, 1e-6);
-        let mut spiked = vec![1e-9; n];
-        spiked[7] = 1.0;
-        let post = weak.posterior(z, &spiked);
-        let best = post
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0;
-        assert_eq!(best, 7, "with no signal the prior decides");
-    }
-
-    #[test]
-    fn tiny_epsilon_recovery_is_near_chance() {
-        let (_, _, g) = graph();
-        let adv = WindowAdversary::new(&g, 0.01);
-        let truth = (RegionId(g.bigrams[0].0), RegionId(g.bigrams[0].1));
-        let mut rng = StdRng::seed_from_u64(1);
-        let rate = adv.empirical_recovery_rate(truth, 150, &mut rng);
-        let chance = 1.0 / g.bigrams.len() as f64;
-        assert!(
-            rate < chance * 20.0 + 0.05,
-            "ε'=0.01 recovery {rate} too far above chance {chance}"
-        );
-    }
-
-    #[test]
-    fn huge_epsilon_recovery_is_near_certain() {
-        let (_, _, g) = graph();
-        let adv = WindowAdversary::new(&g, 500.0);
-        let truth = (RegionId(g.bigrams[0].0), RegionId(g.bigrams[0].1));
-        let mut rng = StdRng::seed_from_u64(2);
-        let rate = adv.empirical_recovery_rate(truth, 50, &mut rng);
-        assert!(rate > 0.9, "ε'=500 recovery only {rate}");
     }
 
     /// A length-3 feasible truth path in the toy graph.

@@ -22,8 +22,8 @@
 //! `TRAJSHARE_FORCE_SCALAR_CRC` environment variable (any non-empty
 //! value other than `0` pins the portable kernel — the CI leg that
 //! re-runs the suites on feature-rich runners sets it), and can be
-//! overridden programmatically with [`set_force_scalar`] so a benchmark
-//! can time both kernels in one process. Both kernels produce identical
+//! overridden in tests with `set_force_scalar` so they check both
+//! kernels in one process. Both kernels produce identical
 //! bits for every input, so flipping dispatch mid-run only changes
 //! speed, never results.
 //!
@@ -74,7 +74,7 @@ const KERNEL_SCALAR: u8 = 1;
 const KERNEL_HW: u8 = 2;
 
 /// Which kernel [`update`] uses; decided on first call, re-decided by
-/// [`set_force_scalar`]. Both kernels are bit-identical, so a racing
+/// the test-only `set_force_scalar`. Both kernels are bit-identical, so a racing
 /// re-decision is harmless — only speed changes.
 static KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNDECIDED);
 
@@ -121,9 +121,10 @@ fn kernel() -> u8 {
 
 /// Overrides CRC kernel dispatch for this process: `true` pins the
 /// portable slice-by-8 kernel, `false` restores feature-detected
-/// dispatch (which also honors `TRAJSHARE_FORCE_SCALAR_CRC`). Benchmarks
-/// use this to time scalar and hardware kernels in the same run.
-pub fn set_force_scalar(force: bool) {
+/// dispatch (which also honors `TRAJSHARE_FORCE_SCALAR_CRC`). Tests use
+/// this to check the scalar and hardware kernels in the same run.
+#[cfg(test)]
+pub(crate) fn set_force_scalar(force: bool) {
     if force {
         KERNEL.store(KERNEL_SCALAR, Ordering::Relaxed);
     } else {

@@ -95,7 +95,7 @@ impl RegionDistance {
 
 /// Eq. 15: Euclidean combination of the three dimension distances.
 #[inline]
-pub fn combine(ds_km: f64, dt_h: f64, dc: f64) -> f64 {
+pub(crate) fn combine(ds_km: f64, dt_h: f64, dc: f64) -> f64 {
     (ds_km * ds_km + dt_h * dt_h + dc * dc).sqrt()
 }
 

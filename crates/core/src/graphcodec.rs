@@ -34,9 +34,9 @@ use crate::regiongraph::RegionGraph;
 use std::path::Path;
 
 /// Region-graph blob magic ("TrajShare Region Graph").
-pub const GRAPH_MAGIC: [u8; 4] = *b"TSRG";
+pub(crate) const GRAPH_MAGIC: [u8; 4] = *b"TSRG";
 /// Region-graph blob version.
-pub const GRAPH_VERSION: u16 = 1;
+pub(crate) const GRAPH_VERSION: u16 = 1;
 /// Hour tiles per day — tile values must stay below this (the aggregate
 /// layer indexes a 24-slot row per region with them).
 const TILES_PER_DAY: u16 = 24;

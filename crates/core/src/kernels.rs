@@ -10,8 +10,8 @@
 //! exact scalar panic), reduces return 0 for empty slices. Dispatch is
 //! decided once from `is_x86_feature_detected!("avx2")` and the
 //! `TRAJSHARE_FORCE_SCALAR_KERNELS` environment variable, and can be
-//! overridden programmatically with [`set_force_scalar`] so benchmarks
-//! time both paths in one process. Non-x86 targets always take the
+//! overridden in tests with `set_force_scalar` so they check both paths
+//! in one process. Non-x86 targets always take the
 //! scalar path (the arrays are short enough that LLVM's autovectorizer
 //! does well on aarch64 NEON without explicit lanes).
 
@@ -59,7 +59,8 @@ fn use_simd() -> bool {
 /// Overrides vector-kernel dispatch for this process: `true` pins the
 /// scalar reference kernels, `false` restores feature-detected dispatch
 /// (which also honors `TRAJSHARE_FORCE_SCALAR_KERNELS`).
-pub fn set_force_scalar(force: bool) {
+#[cfg(test)]
+pub(crate) fn set_force_scalar(force: bool) {
     if force {
         KERNEL.store(KERNEL_SCALAR, Ordering::Relaxed);
     } else {

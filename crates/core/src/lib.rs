@@ -65,7 +65,7 @@ pub mod region;
 pub mod regiongraph;
 pub mod vio;
 
-pub use attack::{PathPrior, TrajectoryAdversary, WindowAdversary};
+pub use attack::{PathPrior, TrajectoryAdversary};
 pub use blob::BlobError;
 pub use config::{MechanismConfig, MergeDimension, ReconstructionSolver};
 pub use continuous::ContinuousSharer;

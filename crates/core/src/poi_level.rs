@@ -35,7 +35,7 @@ fn timestep_range(dataset: &Dataset, regions: &RegionSet, r: RegionId) -> (u16, 
 /// Rejection-samples a feasible POI-level trajectory for `region_seq`,
 /// drawing POIs uniformly from each region's open members (the paper's
 /// §5.6 procedure).
-pub fn reconstruct_poi_level<R: Rng + ?Sized>(
+pub(crate) fn reconstruct_poi_level<R: Rng + ?Sized>(
     dataset: &Dataset,
     regions: &RegionSet,
     region_seq: &[RegionId],
@@ -45,7 +45,7 @@ pub fn reconstruct_poi_level<R: Rng + ?Sized>(
     reconstruct_poi_level_weighted(dataset, regions, region_seq, gamma, rng, |_, _| 1.0)
 }
 
-/// Like [`reconstruct_poi_level`] but drawing each point's POI with
+/// Like `reconstruct_poi_level` but drawing each point's POI with
 /// probability proportional to `poi_weight(dataset, poi)` among the
 /// region's open members. Weights must be non-negative; an all-zero
 /// candidate set falls back to uniform. Used by the population synthesizer

@@ -122,7 +122,7 @@ impl SyntheticCity {
 
 /// Opening hours chosen by the POI's level-1 (root) category, mirroring the
 /// paper's manual per-broad-category assignment.
-pub fn opening_for_root(hierarchy: &CategoryHierarchy, leaf: CategoryId) -> OpeningHours {
+pub(crate) fn opening_for_root(hierarchy: &CategoryHierarchy, leaf: CategoryId) -> OpeningHours {
     let root = hierarchy.ancestor_at(leaf, 1).expect("leaf has a root");
     let name = hierarchy.node(root).name.as_str();
     match name {
@@ -145,7 +145,7 @@ pub fn opening_for_root(hierarchy: &CategoryHierarchy, leaf: CategoryId) -> Open
 /// Shifts an hour-range opening mask by up to ±`jitter_h` hours (wrapping),
 /// giving each POI individual hours while preserving the category's daily
 /// duration. Always-open and never-open masks are returned unchanged.
-pub fn jitter_opening<R: Rng + ?Sized>(
+pub(crate) fn jitter_opening<R: Rng + ?Sized>(
     base: OpeningHours,
     jitter_h: u32,
     rng: &mut R,

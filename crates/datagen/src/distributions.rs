@@ -11,7 +11,7 @@ use rand::Rng;
 /// weights so the synthetic data exhibits the hotspot structure the paper's
 /// hotspot queries (§6.3.2) rely on.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -31,16 +31,6 @@ impl Zipf {
             *v /= total;
         }
         Self { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the distribution is empty (never true).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
     }
 
     /// Probability mass of rank `k` (0-based index = rank k+1).
@@ -64,7 +54,7 @@ impl Zipf {
 
 /// Samples an index from non-negative weights; panics if all weights are
 /// zero/empty (generator inputs are validated upstream).
-pub fn weighted_index<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
+pub(crate) fn weighted_index<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
     let total: f64 = weights.iter().sum();
     assert!(total > 0.0, "weighted_index requires positive total weight");
     let mut u = rng.random::<f64>() * total;
@@ -78,7 +68,7 @@ pub fn weighted_index<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> usize {
 }
 
 /// Uniform integer in `[lo, hi]` (inclusive).
-pub fn uniform_incl<R: Rng + ?Sized>(lo: u32, hi: u32, rng: &mut R) -> u32 {
+pub(crate) fn uniform_incl<R: Rng + ?Sized>(lo: u32, hi: u32, rng: &mut R) -> u32 {
     assert!(lo <= hi);
     rng.random_range(lo..=hi)
 }

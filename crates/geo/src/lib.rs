@@ -7,20 +7,14 @@
 //!   and equirectangular-[Euclidean](GeoPoint::euclidean_m) distances,
 //! * [`BoundingBox`] — axis-aligned boxes used for the minimum bounding
 //!   rectangle (MBR) pruning step of §5.5,
-//! * [`UniformGrid`] — the `g_s × g_s` uniform spatial decomposition of §6.2,
-//! * [`kmeans`] / [`Quadtree`] — alternative spatial decompositions
-//!   (the paper notes the mechanism is robust to the choice of decomposition).
+//! * [`UniformGrid`] — the `g_s × g_s` uniform spatial decomposition of §6.2.
 //!
 //! All distances are in meters unless a function name says otherwise.
 
-pub mod cluster;
 pub mod grid;
 pub mod mbr;
 pub mod point;
-pub mod quadtree;
 
-pub use cluster::{kmeans, KMeansResult};
 pub use grid::{CellId, UniformGrid};
 pub use mbr::BoundingBox;
-pub use point::{DistanceMetric, GeoPoint, EARTH_RADIUS_M};
-pub use quadtree::Quadtree;
+pub use point::{DistanceMetric, GeoPoint};

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Mean Earth radius in meters (IUGG value), used by the Haversine formula.
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// Which physical distance function to use (paper §5.10: "any distance
 /// measure (e.g., Euclidean, Haversine, road network)"; the experiments use

@@ -8,7 +8,7 @@
 //! observes tree *shape* through [`crate::CategoryDistance`], so matching
 //! shape preserves behaviour (DESIGN.md §4).
 
-use crate::tree::{CategoryHierarchy, CategoryId};
+use crate::tree::CategoryHierarchy;
 
 /// Builds a Foursquare-like three-level venue hierarchy.
 ///
@@ -296,11 +296,6 @@ fn build_from_spec(spec: &[(&str, &[(&str, &[&str])])]) -> CategoryHierarchy {
         }
     }
     h
-}
-
-/// Convenience: returns the leaf ids of a hierarchy in stable order.
-pub fn leaf_ids(h: &CategoryHierarchy) -> Vec<CategoryId> {
-    h.leaves()
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::problem::{LinearProgram, Relation, Solution, SolveStatus};
 
 const EPS: f64 = 1e-9;
 /// Feasibility / integrality tolerance used across the crate.
-pub const TOL: f64 = 1e-7;
+pub(crate) const TOL: f64 = 1e-7;
 
 /// Solves the LP relaxation of `lp` (integrality flags are ignored).
 pub fn solve_lp(lp: &LinearProgram) -> Solution {

@@ -11,7 +11,6 @@
 //!   variant,
 //! * [`k_randomized_response`] — classic k-ary randomized response, used as
 //!   a reference mechanism in tests,
-//! * [`laplace_noise`] — Laplace noise for count post-analyses,
 //! * [`PrivacyBudget`] — a sequential-composition accountant that enforces
 //!   the ε′ = ε/(|τ|+n−1) split of Theorem 5.3 at runtime.
 //!
@@ -19,8 +18,6 @@
 
 pub mod budget;
 pub mod em;
-pub mod geoind;
-pub mod noise;
 pub mod pf;
 pub mod rr;
 pub mod sampling;
@@ -28,9 +25,7 @@ pub mod ssem;
 
 pub use budget::{BudgetError, PrivacyBudget};
 pub use em::ExponentialMechanism;
-pub use geoind::{lambert_w_minus1, planar_laplace_displacement};
-pub use noise::laplace_noise;
 pub use pf::permute_and_flip;
 pub use rr::{k_randomized_response, rr_truth_probability};
-pub use sampling::{gumbel_argmax, sample_from_weights, sample_index_by_cumsum};
+pub use sampling::sample_from_weights;
 pub use ssem::subsampled_em;

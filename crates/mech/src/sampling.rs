@@ -31,7 +31,7 @@ pub fn sample_from_weights<R: Rng + ?Sized>(weights: &[f64], rng: &mut R) -> Opt
 ///
 /// Falls back to the last strictly-positive weight when floating-point
 /// rounding leaves `target` marginally above the final cumulative sum.
-pub fn sample_index_by_cumsum(weights: &[f64], target: f64) -> Option<usize> {
+pub(crate) fn sample_index_by_cumsum(weights: &[f64], target: f64) -> Option<usize> {
     let mut acc = 0.0f64;
     let mut last_positive = None;
     for (i, &w) in weights.iter().enumerate() {
@@ -53,7 +53,7 @@ pub fn sample_index_by_cumsum(weights: &[f64], target: f64) -> Option<usize> {
 /// span hundreds of nats (large ε′ · distance products). `-inf` entries are
 /// never selected; returns `None` if all entries are `-inf` or the slice is
 /// empty.
-pub fn gumbel_argmax<R: Rng + ?Sized>(log_weights: &[f64], rng: &mut R) -> Option<usize> {
+pub(crate) fn gumbel_argmax<R: Rng + ?Sized>(log_weights: &[f64], rng: &mut R) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &lw) in log_weights.iter().enumerate() {
         if lw == f64::NEG_INFINITY || lw.is_nan() {

@@ -11,7 +11,6 @@
 //! mechanism and every baseline consume.
 
 pub mod dataset;
-pub mod io;
 pub mod opening;
 pub mod poi;
 pub mod reachability;
@@ -19,7 +18,6 @@ pub mod time;
 pub mod trajectory;
 
 pub use dataset::{Dataset, PoiTable};
-pub use io::{format_pois, format_trajectories, parse_pois, parse_trajectories, ParseError};
 pub use opening::OpeningHours;
 pub use poi::{Poi, PoiId};
 pub use reachability::{ReachabilityOracle, TravelSpeed};

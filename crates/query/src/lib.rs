@@ -7,13 +7,11 @@
 //! * [`hotspot`] — spatio-temporal hotspot extraction with the AHD (Eq. 18)
 //!   and ACD measures.
 
-pub mod colocation;
 pub mod hotspot;
 pub mod ne;
 pub mod od_matrix;
 pub mod prq;
 
-pub use colocation::{colocation_count, colocations, meeting_place_jaccard, Colocation};
 pub use hotspot::{acd, ahd, extract_hotspots, Hotspot, HotspotScope};
 pub use ne::{normalized_error, NormalizedError};
 pub use od_matrix::OdMatrix;

@@ -107,7 +107,7 @@ pub fn reconstruction_attack(
 /// the ε-LDP unit. The attacker's score is the target path's
 /// log-likelihood under each published model
 /// ([`PublishedStream::path_log_likelihood`]); the score pairs feed the
-/// DKW-corrected estimator ([`eps_lower_bound`]).
+/// DKW-corrected estimator (`eps_lower_bound`).
 ///
 /// `publish` abstracts the pipeline so the n-gram system and baselines
 /// (LDPTrace) are measured by the *same* attacker: it must map

@@ -31,4 +31,4 @@ pub mod harness;
 pub mod mi;
 
 pub use harness::{membership_eps_lower_bound, reconstruction_attack, ReconSummary};
-pub use mi::{eps_lower_bound, krr_empirical_eps, MiEstimate};
+pub use mi::{krr_empirical_eps, MiEstimate};

@@ -43,7 +43,7 @@ pub struct MiEstimate {
 /// sound empirical-ε lower bound. Higher scores must indicate "target
 /// present"; any monotone score works, the bound is just weaker for bad
 /// ones.
-pub fn eps_lower_bound(scores_in: &[f64], scores_out: &[f64], delta: f64) -> MiEstimate {
+pub(crate) fn eps_lower_bound(scores_in: &[f64], scores_out: &[f64], delta: f64) -> MiEstimate {
     assert!(!scores_in.is_empty() && !scores_out.is_empty());
     assert!(delta > 0.0 && delta < 1.0);
     let n_in = scores_in.len();

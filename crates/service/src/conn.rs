@@ -85,8 +85,8 @@ pub(crate) fn worker_loop(
 /// fault stand (each is an independent, validated LDP message) and are
 /// flushed. A `TSGH` hello upgrades the server→client direction to
 /// control frames (framed acks, pushed grants — see
-/// [`StreamServerConfig::grants`]); connections that never send one keep
-/// the classic raw-ack exchange byte for byte.
+/// [`crate::StreamServerConfig::grants`]); connections that never send
+/// one keep the classic raw-ack exchange byte for byte.
 #[allow(clippy::too_many_arguments)]
 fn handle_conn(
     mut stream: TcpStream,

@@ -37,10 +37,7 @@ pub use client::{
     stream_wires, GrantClient,
 };
 pub use server::{
-    BudgetPublication, CountsSummary, IngestProfile, IngestProfileSnapshot, IngestServer,
-    RecoverySummary, ServerConfig, ServerHandle, ServerStats, StreamPublication,
-    StreamServerConfig,
+    BudgetPublication, CountsSummary, IngestProfileSnapshot, IngestServer, RecoverySummary,
+    ServerConfig, ServerHandle, ServerStats, StreamPublication, StreamServerConfig,
 };
-pub use storage::{
-    load, lock_dir, recover, replay_wal, Recovery, ReplayStats, SyncPolicy, WalWriter,
-};
+pub use storage::{load, replay_wal, Recovery, ReplayStats, SyncPolicy, WalWriter};

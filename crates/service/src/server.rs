@@ -314,23 +314,20 @@ impl ServerStats {
 /// nothing. `validate_ns`/`decode_ns` are timed per frame inside the
 /// decoder; the other clocks are read once per read round.
 #[derive(Debug, Default)]
-pub struct IngestProfile {
-    /// Filling column scratch from validated payload bytes.
+pub(crate) struct IngestProfile {
+    /// See [`IngestProfileSnapshot::decode_ns`].
     pub decode_ns: AtomicU64,
-    /// Frame CRC + header + column-structure validation.
+    /// See [`IngestProfileSnapshot::validate_ns`].
     pub validate_ns: AtomicU64,
-    /// The WAL commit that ends each read round: the flush `write` (and
-    /// any group-commit sync).
+    /// See [`IngestProfileSnapshot::wal_ns`].
     pub wal_ns: AtomicU64,
-    /// The rest of a round's frame loop: counter accumulation (shard
-    /// totals plus the window ring), the buffered WAL append in front of
-    /// it, and any counter snapshot that came due.
+    /// See [`IngestProfileSnapshot::accumulate_ns`].
     pub accumulate_ns: AtomicU64,
-    /// Writing cumulative acks back to clients.
+    /// See [`IngestProfileSnapshot::ack_ns`].
     pub ack_ns: AtomicU64,
-    /// Report frames profiled.
+    /// See [`IngestProfileSnapshot::batches`].
     pub batches: AtomicU64,
-    /// Reports inside those frames.
+    /// See [`IngestProfileSnapshot::reports`].
     pub reports: AtomicU64,
 }
 
@@ -351,23 +348,27 @@ impl IngestProfile {
     }
 }
 
-/// Plain-number view of [`IngestProfile`], serializable for bench
-/// reports and CLI dumps.
+/// Plain-number view of the server's per-stage ingest profile (see
+/// [`ServerConfig::profile`]), serializable for bench reports and CLI
+/// dumps.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct IngestProfileSnapshot {
-    /// See [`IngestProfile::decode_ns`].
+    /// Filling column scratch from validated payload bytes.
     pub decode_ns: u64,
-    /// See [`IngestProfile::validate_ns`].
+    /// Frame CRC + header + column-structure validation.
     pub validate_ns: u64,
-    /// See [`IngestProfile::wal_ns`].
+    /// The WAL commit that ends each read round: the flush `write` (and
+    /// any group-commit sync).
     pub wal_ns: u64,
-    /// See [`IngestProfile::accumulate_ns`].
+    /// The rest of a round's frame loop: counter accumulation (shard
+    /// totals plus the window ring), the buffered WAL append in front of
+    /// it, and any counter snapshot that came due.
     pub accumulate_ns: u64,
-    /// See [`IngestProfile::ack_ns`].
+    /// Writing cumulative acks back to clients.
     pub ack_ns: u64,
-    /// See [`IngestProfile::batches`].
+    /// Report frames profiled.
     pub batches: u64,
-    /// See [`IngestProfile::reports`].
+    /// Reports inside those frames.
     pub reports: u64,
 }
 

@@ -31,10 +31,10 @@
 //!
 //! ## Recovery = snapshot + log tail, then compaction
 //!
-//! [`recover`] merges `base-<g>.counts`, every `shard-<g>-*.counts`, and
-//! each shard's log tail past its covered offset, producing counters
-//! bit-identical to an uninterrupted run (all counters are plain `u64`
-//! sums, so merge order is immaterial). It then *compacts*: writes the
+//! Recovery (`recover_locked`) merges `base-<g>.counts`, every
+//! `shard-<g>-*.counts`, and each shard's log tail past its covered
+//! offset, producing counters bit-identical to an uninterrupted run (all
+//! counters are plain `u64` sums, so merge order is immaterial). It then *compacts*: writes the
 //! merged result as `base-<g+1>.counts`, atomically flips `MANIFEST` to
 //! generation `g+1`, and deletes generation-`g` files. A crash anywhere
 //! inside recovery is safe — until the manifest rename lands, generation
@@ -93,18 +93,18 @@ pub fn wal_path(dir: &Path, gen: u64, shard: usize) -> PathBuf {
 }
 
 /// Path of shard `i`'s counter snapshot in generation `gen`.
-pub fn shard_counts_path(dir: &Path, gen: u64, shard: usize) -> PathBuf {
+pub(crate) fn shard_counts_path(dir: &Path, gen: u64, shard: usize) -> PathBuf {
     dir.join(format!("shard-{gen}-{shard}.counts"))
 }
 
 /// Path of the compacted base snapshot of generation `gen`.
-pub fn base_path(dir: &Path, gen: u64) -> PathBuf {
+pub(crate) fn base_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("base-{gen}.counts"))
 }
 
 /// Path of the compacted window-ring snapshot of generation `gen`
 /// (streaming deployments only).
-pub fn ring_path(dir: &Path, gen: u64) -> PathBuf {
+pub(crate) fn ring_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("ring-{gen}.bin"))
 }
 
@@ -113,7 +113,7 @@ pub fn ring_path(dir: &Path, gen: u64) -> PathBuf {
 /// free on purpose: the ledger is tiny, rewritten atomically on every
 /// decision, and must survive compaction sweeps — forgetting spends
 /// across a generation bump could over-grant.
-pub fn budget_path(dir: &Path) -> PathBuf {
+pub(crate) fn budget_path(dir: &Path) -> PathBuf {
     dir.join("BUDGET")
 }
 
@@ -497,7 +497,7 @@ pub fn read_shard_counts(
     Ok((counts, offset, (!ring.is_empty()).then(|| ring.to_vec())))
 }
 
-/// Everything [`recover`] reconstructed and compacted.
+/// Everything recovery (or [`load`]) reconstructed.
 #[derive(Debug)]
 pub struct Recovery {
     /// Exact counters as of the last durable byte.
@@ -566,11 +566,11 @@ pub(crate) fn sweep_stale_generations(dir: &Path, keep: u64) {
 }
 
 /// Takes the data directory's exclusive advisory lock (a `LOCK` file).
-/// Held by a running server and for the duration of [`recover`]/[`load`],
-/// so a second server — or an operator command — cannot compact or sweep
+/// Held by a running server and for the duration of [`load`], so a
+/// second server — or an operator command — cannot compact or sweep
 /// files out from under a live instance. The lock releases when the
 /// returned handle drops.
-pub fn lock_dir(dir: &Path) -> std::io::Result<File> {
+pub(crate) fn lock_dir(dir: &Path) -> std::io::Result<File> {
     std::fs::create_dir_all(dir)?;
     let file = OpenOptions::new()
         .create(true)
@@ -587,17 +587,10 @@ pub fn lock_dir(dir: &Path) -> std::io::Result<File> {
     }
 }
 
-/// Rebuilds exact counters from whatever the previous run left behind,
-/// then compacts into a fresh generation (see the module docs for the
-/// crash-safety argument). `region_tiles` defines the public universe;
-/// a snapshot recorded under a different universe size aborts recovery
-/// rather than mis-indexing counters. `window` enables the streaming
-/// workload: the sliding-window ring is restored alongside the totals
-/// (a persisted ring with a different window shape aborts recovery).
-/// Takes the directory lock for the duration;
-/// [`crate::server::IngestServer`] uses the `_locked` variant under its
-/// own longer-lived lock.
-pub fn recover(
+/// [`recover_locked`] under its own directory lock, for tests that
+/// recover a directory no server holds.
+#[cfg(test)]
+pub(crate) fn recover(
     dir: &Path,
     region_tiles: &[u16],
     window: Option<WindowConfig>,
@@ -607,7 +600,7 @@ pub fn recover(
 }
 
 /// Read-only reconstruction: merges the same base + shard counters + log
-/// tails as [`recover`] but writes nothing — no compaction, no manifest
+/// tails as recovery does but writes nothing — no compaction, no manifest
 /// flip, no sweep. This is what inspection commands (`ingestd
 /// --dump-counts`) use, so that *looking* at a data directory can never
 /// delete a live server's logs.
@@ -620,8 +613,15 @@ pub fn load(
     reconstruct(dir, region_tiles, window)
 }
 
-/// [`recover`] without the locking — the caller must hold the directory
-/// lock (see [`lock_dir`]).
+/// Rebuilds exact counters from whatever the previous run left behind,
+/// then compacts into a fresh generation (see the module docs for the
+/// crash-safety argument). `region_tiles` defines the public universe;
+/// a snapshot recorded under a different universe size aborts recovery
+/// rather than mis-indexing counters. `window` enables the streaming
+/// workload: the sliding-window ring is restored alongside the totals
+/// (a persisted ring with a different window shape aborts recovery).
+/// The caller must hold the directory lock (see [`lock_dir`]);
+/// [`crate::server::IngestServer`] holds it for its whole life.
 pub(crate) fn recover_locked(
     dir: &Path,
     region_tiles: &[u16],
@@ -646,7 +646,7 @@ pub(crate) fn recover_locked(
     Ok(rec)
 }
 
-/// The shared reconstruction pass behind [`recover`] and [`load`]:
+/// The shared reconstruction pass behind [`recover_locked`] and [`load`]:
 /// returns the merged counters (and ring) and the *next* generation
 /// number without touching the directory.
 fn reconstruct(

@@ -23,3 +23,9 @@ pub use trajshare_lp as lp;
 pub use trajshare_mech as mech;
 pub use trajshare_model as model;
 pub use trajshare_query as query;
+
+/// Compiles the README's code blocks as doctests, so the README cannot
+/// name an item the workspace no longer has.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
