@@ -40,10 +40,11 @@
 //!   fresh data is actually worth buying.
 //!
 //! The accountant is the *decision* ledger; [`crate::PublicationEngine`]
-//! is the loop that drives it. The durable mirror is the window ring
-//! ([`crate::stream::WindowedAggregator::record_spend`]), and the budget
-//! holder persists the ledger itself (`WindowBudgetAccountant::encode`)
-//! so the invariant survives kill/restart — see `trajshare_service`.
+//! is the pass that drives it and its one writer: the pass persists the
+//! `TSBA` blob ([`WindowBudgetAccountant::encode`]) before it releases a
+//! grant, and [`crate::read_ledger`] is its one reader, so the invariant
+//! survives kill/restart. A node also mirrors settled spends onto its
+//! window ring ([`crate::stream::WindowedAggregator::record_spend`]).
 
 use crate::estimate::{ibu_frequencies, EmChannel};
 use crate::ingest::AggregateCounts;
@@ -141,8 +142,8 @@ pub fn significance_divergence(prev: &[f64], cur: &[f64], n_prev: u64, n_cur: u6
 /// raw occupancy otherwise. Either way the measured total-variation
 /// distance is gated on the sampling-noise floor the two cohort sizes
 /// imply ([`significance_divergence`]), so a quiet-but-small window no
-/// longer reads as a population shift. Called from the one decision loop
-/// ([`crate::PublicationEngine`]), so a deployment gets the same signal
+/// longer reads as a population shift. Called from the one publication
+/// pass ([`crate::PublicationEngine`]), so a deployment gets the same signal
 /// at either enforcement point (node or coordinator).
 ///
 /// Debiasing inverts the EM channel at the window's *mean* ε′ (a

@@ -1,21 +1,40 @@
-//! The publication engine: the streaming ε-budget decision loop, once.
+//! The publication engine: the streaming publication pass, once.
 //!
-//! Whoever holds the budget — a single `ingestd` over its own merged
-//! shard rings, or the cluster coordinator over pulled worker snapshots
-//! — runs the same per-tick pass: allocate every newly seen window,
-//! settle each live window's worst-case per-report ε′ against its grant,
-//! keep the accept/refuse books publication filters by, and pre-grant
-//! the next window for the grant session. [`PublicationEngine`] is that
-//! pass plus its state. The two callers differ only in the *watermark*
-//! they pass ([`WindowedAggregator::newest_window`] on a node, the
-//! min-worker watermark on a coordinator) and in what they do with the
-//! result (mirror spends onto rings and write `BUDGET`, or persist the
-//! cluster ledger) — a single node is a cluster of one.
+//! A single `ingestd` over its own merged shard rings and the cluster
+//! coordinator over pulled worker snapshots run the same per-tick pass,
+//! [`PublicationEngine::publish`]:
+//!
+//! 1. **decide** — allocate every newly seen window, settle each live
+//!    window's worst-case per-report ε′ against its grant, keep the
+//!    accept/refuse books, and pre-grant the next window for the grant
+//!    session;
+//! 2. **persist** — rewrite the `TSBA` ledger blob atomically whenever its
+//!    bytes changed;
+//! 3. **grant** — hand out the standing grant, only once the decision
+//!    behind it is durable (persist-before-broadcast: a grant a client
+//!    ever saw survives any restart, which then re-announces it instead of
+//!    re-deciding it);
+//! 4. **record** — build the one [`Publication`] both callers print and
+//!    serve.
+//!
+//! The two callers differ only in the *watermark* they pass
+//! ([`WindowedAggregator::newest_window`] on a node, the min-worker
+//! watermark on a coordinator): a single node is a cluster of one.
+//! Without a budget the engine still numbers, records and filters
+//! publications; it just decides nothing.
+//!
+//! **Ledger contract.** A stored ledger written under a different
+//! [`WindowBudgetConfig`] is replaced only when a ring can reseed the
+//! spent budget: a node reseeds the new ledger from its restored ring's
+//! spend annotations, while a coordinator, which holds no ring at
+//! startup, refuses to start — restoring nothing would re-grant spent
+//! budget.
 //!
 //! The engine never estimates: callers own their
 //! [`crate::StreamingEstimator`] and tick it over
-//! [`PublicationEngine::published_counts`] *outside* whatever lock
-//! guards the engine, so a long IBU solve never stalls a decision pass.
+//! [`PublicationEngine::published_counts`] — the one filter estimation
+//! reads — *outside* whatever lock guards the engine, so an IBU solve
+//! never stalls a pass (the small ledger write may).
 
 use crate::budget::{window_divergence, WindowBudgetAccountant, WindowBudgetConfig};
 use crate::grant::GrantFrame;
@@ -23,7 +42,9 @@ use crate::ingest::AggregateCounts;
 use crate::stream::WindowedAggregator;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use trajshare_core::blob::write_blob_atomic;
 use trajshare_core::RegionGraph;
 
 /// The budget slice of a publication: what the ledger looks like right
@@ -49,9 +70,41 @@ pub struct BudgetPublication {
     pub recycled_nano: u64,
 }
 
-/// What one [`PublicationEngine::decide`] pass did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Decisions {
+/// One publication: what a node's maintenance thread stores and a
+/// coordinator's tick returns.
+#[derive(Debug, Clone, Default)]
+pub struct Publication {
+    /// Publication sequence number (1-based, monotonic).
+    pub seq: u64,
+    /// The watermark the pass decided below: the ring's newest window on
+    /// a node, the min-worker watermark on a coordinator (0 until every
+    /// contacted worker ships a ring).
+    pub watermark: u64,
+    /// Oldest window id still live.
+    pub oldest_window: u64,
+    /// `(window id, reports)` for every live window, ascending.
+    pub windows: Vec<(u64, u64)>,
+    /// Reports in the merged ring (every live window).
+    pub merged_reports: u64,
+    /// Reports dropped as older than the ring span.
+    pub late_reports: u64,
+    /// The ledger after this pass (`None` without a budget).
+    pub budget: Option<BudgetPublication>,
+    /// Live windows excluded from publication, ascending (empty without
+    /// a budget).
+    pub refused_windows: Vec<u64>,
+    /// The standing grant for the next window — freshly allocated this
+    /// pass or the latest decision re-announced. Present only when the
+    /// grant session is on and the ledger behind it is durable, so
+    /// relaying it is always safe.
+    pub grant: Option<GrantFrame>,
+}
+
+/// What one [`PublicationEngine::publish`] pass did.
+#[derive(Debug)]
+pub struct Pass {
+    /// The record of this pass.
+    pub publication: Publication,
     /// `(window, settled spend)` for every in-horizon window settled
     /// this pass — what a node mirrors onto its rings so the books
     /// survive with the shard snapshots.
@@ -61,17 +114,44 @@ pub struct Decisions {
     pub new_decisions: u64,
     /// Windows that entered the refused set this pass.
     pub new_refusals: u64,
-    /// The standing grant for the next window — freshly allocated, or
-    /// the latest decision re-announced unchanged (`None` when the grant
-    /// session is off). Broadcast it only after the ledger
-    /// ([`PublicationEngine::ledger_bytes`]) is durable.
-    pub grant: Option<GrantFrame>,
+    /// The ledger write, when the ledger moved. On an error the
+    /// publication carries no grant; the next pass retries the write.
+    pub persisted: std::io::Result<()>,
 }
 
-/// The ledger plus the books publication filters by.
-#[derive(Debug, Clone)]
+/// Reads a persisted `TSBA` ledger: `None` when the file does not exist,
+/// an error when it cannot be read or fails to decode — restoring a
+/// guessed ledger could over-grant past the `w`-window invariant.
+pub fn read_ledger(path: &Path) -> std::io::Result<Option<WindowBudgetAccountant>> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    WindowBudgetAccountant::decode(&bytes)
+        .map(Some)
+        .map_err(|e| std::io::Error::other(format!("ledger {}: {e}", path.display())))
+}
+
+/// The publication pass plus its state: the publication counter and,
+/// when a budget runs, the ledger and its books.
+#[derive(Debug, Clone, Default)]
 pub struct PublicationEngine {
+    seq: u64,
+    /// `None` runs without a budget: every window at or below the
+    /// watermark publishes.
+    books: Option<Books>,
+}
+
+/// The ledger, where it persists, and the books publication filters by.
+#[derive(Debug, Clone)]
+struct Books {
     accountant: WindowBudgetAccountant,
+    /// Where the pass persists the ledger (`None`: in memory only).
+    path: Option<PathBuf>,
+    /// The ledger bytes last read or written at `path`, to skip no-op
+    /// rewrites.
+    persisted: Vec<u8>,
     /// Region universe for the debiased divergence signal (`None` =
     /// significance-tested raw occupancy).
     graph: Option<Arc<RegionGraph>>,
@@ -91,34 +171,45 @@ pub struct PublicationEngine {
 }
 
 impl PublicationEngine {
-    /// Rebuilds the engine at startup. `stored` is the persisted ledger,
-    /// used when it was written under `config`; otherwise (fresh
-    /// deployment, or the operator changed the contract) a new ledger is
-    /// seeded from `ring_spends` — the restored ring's
-    /// [`WindowedAggregator::window_spends`] — so already-published
-    /// spend keeps constraining the new horizon. The accept/refuse books
-    /// come back from the ledger's grant history, which outlives the
-    /// horizon: a window still live in a ring deeper than `w` keeps its
-    /// earned status across the restart, and the first
-    /// [`PublicationEngine::decide`] re-checks it against the data.
-    pub fn restore(
+    /// A budgeted engine whose ledger lives at `ledger` (`None` keeps it
+    /// in memory). A stored ledger written under `config` is restored;
+    /// one written under a different contract is replaced by a fresh
+    /// ledger seeded from `ring_spends` — the restored ring's
+    /// [`WindowedAggregator::window_spends`] — so already-published spend
+    /// keeps constraining the new horizon. Without a ring
+    /// (`ring_spends: None`) nothing can reseed it, and the changed
+    /// contract is an error. The accept/refuse books come back from the
+    /// ledger's grant history, which outlives the horizon: a window
+    /// still live in a ring deeper than `w` keeps its earned status, and
+    /// the first [`PublicationEngine::publish`] re-checks it against the
+    /// data.
+    pub fn budgeted(
         config: WindowBudgetConfig,
         graph: Option<Arc<RegionGraph>>,
         grants: bool,
-        stored: Option<WindowBudgetAccountant>,
-        ring_spends: &[(u64, u64)],
-    ) -> Self {
-        let accountant = match stored {
-            Some(acct) if acct.config() == config => acct,
-            _ => {
+        ledger: Option<PathBuf>,
+        ring_spends: Option<&[(u64, u64)]>,
+    ) -> std::io::Result<Self> {
+        let stored = ledger.as_deref().map(read_ledger).transpose()?.flatten();
+        let persisted = stored.as_ref().map_or_else(Vec::new, |acct| acct.encode());
+        let accountant = match (stored, ring_spends) {
+            (Some(acct), _) if acct.config() == config => acct,
+            (Some(_), None) => {
+                return Err(std::io::Error::other(
+                    "the stored ledger was written under a different budget \
+                     contract, and no ring can reseed its spends",
+                ))
+            }
+            (_, spends) => {
                 let mut acct = WindowBudgetAccountant::new(config);
-                for &(id, spent) in ring_spends {
+                for &(id, spent) in spends.unwrap_or_default() {
                     acct.restore_spend(id, spent);
                 }
                 acct
             }
         };
-        let mut settled: BTreeMap<u64, u64> = ring_spends.iter().copied().collect();
+        let mut settled: BTreeMap<u64, u64> =
+            ring_spends.unwrap_or_default().iter().copied().collect();
         let (mut accepted, mut refused) = (BTreeSet::new(), BTreeSet::new());
         for r in accountant.grant_history() {
             settled.insert(r.window, r.settled_nano);
@@ -128,26 +219,117 @@ impl PublicationEngine {
                 accepted.insert(r.window);
             }
         }
-        PublicationEngine {
-            accountant,
-            graph,
-            grants,
-            accepted,
-            refused,
-            settled,
-        }
+        Ok(PublicationEngine {
+            seq: 0,
+            books: Some(Books {
+                accountant,
+                path: ledger,
+                persisted,
+                graph,
+                grants,
+                accepted,
+                refused,
+                settled,
+            }),
+        })
     }
 
-    /// One decision pass over `view`, considering windows at or below
-    /// `watermark` only (a straggling worker can delay a window's
-    /// decision but never revise it).
+    /// One publication pass over `view` (`None` for a batch cluster,
+    /// which only numbers its publications), considering windows at or
+    /// below `watermark` only — a straggling worker can delay a window's
+    /// decision but never revise it. Decides, persists the ledger if it
+    /// moved, and only then releases the grant into the record.
+    pub fn publish(&mut self, view: Option<&WindowedAggregator>, watermark: u64) -> Pass {
+        self.seq += 1;
+        let mut pass = Pass {
+            publication: Publication {
+                seq: self.seq,
+                watermark,
+                ..Publication::default()
+            },
+            settled: Vec::new(),
+            new_decisions: 0,
+            new_refusals: 0,
+            persisted: Ok(()),
+        };
+        let Some(view) = view else {
+            return pass;
+        };
+        if let Some(books) = &mut self.books {
+            let grant = books.decide(view, watermark, &mut pass);
+            pass.persisted = books.persist();
+            if pass.persisted.is_ok() {
+                pass.publication.grant = grant;
+            }
+            pass.publication.budget = Some(books.summary());
+            pass.publication.refused_windows = books.refused.iter().copied().collect();
+        }
+        let record = &mut pass.publication;
+        record.oldest_window = view.oldest_window();
+        record.windows = view
+            .windows()
+            .iter()
+            .map(|&(id, c)| (id, c.num_reports))
+            .collect();
+        record.merged_reports = view.merged().num_reports;
+        record.late_reports = view.late();
+        pass
+    }
+
+    /// The one filter estimation reads: Σ counters of the windows at or
+    /// below `watermark` — only the accepted ones when a budget runs.
+    /// `None` when nothing is left: a tick over zero counts would publish
+    /// a meaningless model and poison the warm start of the next one.
+    pub fn published_counts(
+        &self,
+        view: &WindowedAggregator,
+        watermark: u64,
+    ) -> Option<AggregateCounts> {
+        let counts = match &self.books {
+            Some(books) => view.merged_where(|id| id <= watermark && books.accepted.contains(&id)),
+            None => view.merged_where(|id| id <= watermark),
+        };
+        (counts.num_reports > 0).then_some(counts)
+    }
+
+    /// The ledger itself (decisions, grant history, sliding spend), when
+    /// a budget runs.
+    pub fn accountant(&self) -> Option<&WindowBudgetAccountant> {
+        self.books.as_ref().map(|b| &b.accountant)
+    }
+
+    /// Live windows accepted for publication, ascending (empty without a
+    /// budget — every window at or below the watermark publishes).
+    pub fn accepted_windows(&self) -> Vec<u64> {
+        self.books
+            .as_ref()
+            .map(|b| b.accepted.iter().copied().collect())
+            .unwrap_or_default()
+    }
+
+    /// Live windows excluded from publication, ascending (empty without
+    /// a budget).
+    pub fn refused_windows(&self) -> Vec<u64> {
+        self.books
+            .as_ref()
+            .map(|b| b.refused.iter().copied().collect())
+            .unwrap_or_default()
+    }
+}
+
+impl Books {
+    /// The decision half of the pass; returns the standing grant.
     ///
     /// Settlement is against the cohort's *max* per-report ε′, not the
     /// mean: the `w`-window contract is per user, so one ε′ = 64 report
     /// hiding among thousands at 0.01 must still refuse the window.
-    pub fn decide(&mut self, view: &WindowedAggregator, watermark: u64) -> Decisions {
+    fn decide(
+        &mut self,
+        view: &WindowedAggregator,
+        watermark: u64,
+        out: &mut Pass,
+    ) -> Option<GrantFrame> {
         let windows = view.windows();
-        let mut out = Decisions::default();
         for (i, &(id, counts)) in windows.iter().enumerate() {
             if id > watermark {
                 break;
@@ -210,19 +392,19 @@ impl PublicationEngine {
         // A window already decided (an earlier pass, or a restored
         // ledger) is re-announced unchanged: boards dedupe, and a
         // restart must never re-decide a grant a client may have seen.
-        if self.grants {
-            let next = view.newest_window() + u64::from(view.merged().num_reports > 0);
-            out.grant = if self.accountant.decided().is_none_or(|d| next > d) {
-                let divergence = match windows.as_slice() {
-                    [.., prev, newest] => self.shift(Some(prev), newest),
-                    _ => 1.0,
-                };
-                out.new_decisions += 1;
-                Some(self.accountant.allocate(next, divergence).into())
-            } else {
-                self.accountant.latest_grant().map(GrantFrame::from)
+        let next = view.newest_window() + u64::from(view.merged().num_reports > 0);
+        let grant = if !self.grants {
+            None
+        } else if self.accountant.decided().is_none_or(|d| next > d) {
+            let divergence = match windows.as_slice() {
+                [.., prev, newest] => self.shift(Some(prev), newest),
+                _ => 1.0,
             };
-        }
+            out.new_decisions += 1;
+            Some(self.accountant.allocate(next, divergence).into())
+        } else {
+            self.accountant.latest_grant().map(GrantFrame::from)
+        };
         // Books for windows that slid out of the ring gate nothing. (The
         // budget *horizon* needs none of them: the ledger and its grant
         // history are self-contained, which is what lets `w` exceed the
@@ -231,7 +413,23 @@ impl PublicationEngine {
         self.accepted.retain(|&id| id >= oldest);
         self.refused.retain(|&id| id >= oldest);
         self.settled.retain(|&id, _| id >= oldest);
-        out
+        grant
+    }
+
+    /// Atomically rewrites the ledger blob when its bytes moved since the
+    /// last read or write.
+    fn persist(&mut self) -> std::io::Result<()> {
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
+        let bytes = self.accountant.encode();
+        if bytes != self.persisted {
+            write_blob_atomic(path, &bytes).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("ledger {}: {e}", path.display()))
+            })?;
+            self.persisted = bytes;
+        }
+        Ok(())
     }
 
     /// The allocator's change signal for `cur`: divergence from the
@@ -252,15 +450,8 @@ impl PublicationEngine {
         u64::from(self.refused.insert(id))
     }
 
-    /// Σ counters of the windows that may be published: accepted and at
-    /// or below `watermark`. Empty (`num_reports == 0`) when nothing is
-    /// — callers must not tick an estimator over that.
-    pub fn published_counts(&self, view: &WindowedAggregator, watermark: u64) -> AggregateCounts {
-        view.merged_where(|id| id <= watermark && self.accepted.contains(&id))
-    }
-
     /// The ledger as a publication reports it.
-    pub fn summary(&self) -> BudgetPublication {
+    fn summary(&self) -> BudgetPublication {
         let acct = &self.accountant;
         let newest = acct.decided().and_then(|w| acct.decision(w));
         BudgetPublication {
@@ -273,27 +464,6 @@ impl PublicationEngine {
             refused_windows: acct.refused_windows(),
             recycled_nano: acct.recycled_nano(),
         }
-    }
-
-    /// The ledger's `TSBA` encoding — what the caller persists (when it
-    /// changed) before broadcasting [`Decisions::grant`].
-    pub fn ledger_bytes(&self) -> Vec<u8> {
-        self.accountant.encode()
-    }
-
-    /// The ledger itself (decisions, grant history, sliding spend).
-    pub fn accountant(&self) -> &WindowBudgetAccountant {
-        &self.accountant
-    }
-
-    /// Live windows accepted for publication, ascending.
-    pub fn accepted_windows(&self) -> Vec<u64> {
-        self.accepted.iter().copied().collect()
-    }
-
-    /// Live windows excluded from publication, ascending.
-    pub fn refused_windows(&self) -> Vec<u64> {
-        self.refused.iter().copied().collect()
     }
 }
 
@@ -321,9 +491,9 @@ mod tests {
         Decide,
         /// One decision pass at an explicit (cluster) watermark.
         DecideBelow(u64),
-        /// What a budget holder's restart does: ledger `encode` →
-        /// `decode` → `restore`, optionally under a changed contract
-        /// `(total ε, horizon)`.
+        /// What a node's restart does: rebuild the engine from the
+        /// ledger file the passes wrote and the ring's spend annotations,
+        /// optionally under a changed contract `(total ε, horizon)`.
         Restart(Option<(f64, usize)>),
         Accepted(&'static [u64]),
         Refused(&'static [u64]),
@@ -357,99 +527,139 @@ mod tests {
         WindowBudgetConfig::new(eps_to_nano(total), horizon, AllocationPolicy::Uniform)
     }
 
-    fn run(case: &Case) {
+    /// `n` two-point reports at ε′ = `eps` into `window`, regions walking
+    /// with the running report count `seq`.
+    fn ingest(ring: &mut WindowedAggregator, seq: &mut u32, window: u64, n: u32, eps: f64) {
+        for _ in 0..n {
+            *seq += 1;
+            let a = *seq % REGIONS as u32;
+            let b = (a + 1) % REGIONS as u32;
+            ring.ingest(&Report {
+                t: window * WINDOW_LEN,
+                eps_prime: eps,
+                len: 2,
+                unigrams: vec![(0, a), (1, b)],
+                exact: vec![(0, a), (1, b)],
+                transitions: vec![(a, b)],
+            });
+        }
+    }
+
+    fn temp_ledger(tag: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "trajshare-engine-{}-{tag}.tsba",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn run(case: &Case, index: usize) {
         let name = case.name;
         let window = WindowConfig {
             window_len: WINDOW_LEN,
             num_windows: case.ring_depth,
         };
+        let ledger = temp_ledger(&index.to_string());
+        let open = |contract: (f64, usize), ring: &WindowedAggregator| {
+            PublicationEngine::budgeted(
+                budget(contract),
+                None,
+                case.grants,
+                Some(ledger.clone()),
+                Some(&ring.window_spends()),
+            )
+            .unwrap()
+        };
         let mut ring = WindowedAggregator::new(vec![0; REGIONS], window);
-        let mut engine =
-            PublicationEngine::restore(budget(case.budget), None, case.grants, None, &[]);
-        let mut pass = Decisions::default();
+        let mut engine = open(case.budget, &ring);
+        let mut pass: Option<Pass> = None;
         let mut seq = 0u32;
         for (i, step) in case.steps.iter().enumerate() {
             let at = format!("{name}, step {i}");
+            let last = || pass.as_ref().expect("a pass ran");
             match *step {
-                Ingest { window, n, eps } => {
-                    for _ in 0..n {
-                        seq += 1;
-                        let a = seq % REGIONS as u32;
-                        let b = (a + 1) % REGIONS as u32;
-                        ring.ingest(&Report {
-                            t: window * WINDOW_LEN,
-                            eps_prime: eps,
-                            len: 2,
-                            unigrams: vec![(0, a), (1, b)],
-                            exact: vec![(0, a), (1, b)],
-                            transitions: vec![(a, b)],
-                        });
-                    }
-                }
+                Ingest { window, n, eps } => ingest(&mut ring, &mut seq, window, n, eps),
                 Decide | DecideBelow(_) => {
                     let watermark = match *step {
                         DecideBelow(w) => w,
                         _ => ring.newest_window(),
                     };
-                    pass = engine.decide(&ring, watermark);
+                    let done = engine.publish(Some(&ring), watermark);
+                    done.persisted.as_ref().unwrap();
+                    // The record describes the books the pass left, and
+                    // the ledger on disk is the ledger in memory.
+                    assert_eq!(done.publication.watermark, watermark, "{at}");
+                    assert_eq!(
+                        done.publication.refused_windows,
+                        engine.refused_windows(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        read_ledger(&ledger).unwrap().as_ref(),
+                        engine.accountant(),
+                        "{at}"
+                    );
                     // The node's half: mirror the settled spends.
-                    for &(id, spent) in &pass.settled {
+                    for &(id, spent) in &done.settled {
                         ring.record_spend(id, spent);
                     }
+                    pass = Some(done);
                 }
-                Restart(contract) => {
-                    let stored = WindowBudgetAccountant::decode(&engine.ledger_bytes()).unwrap();
-                    engine = PublicationEngine::restore(
-                        budget(contract.unwrap_or(case.budget)),
-                        None,
-                        case.grants,
-                        Some(stored),
-                        &ring.window_spends(),
-                    );
-                }
+                Restart(contract) => engine = open(contract.unwrap_or(case.budget), &ring),
                 Accepted(want) => assert_eq!(engine.accepted_windows(), want, "{at}"),
                 Refused(want) => assert_eq!(engine.refused_windows(), want, "{at}"),
                 Spent(window, eps) => assert_eq!(
-                    engine.accountant().decision(window).map(|d| d.spent_nano),
+                    engine
+                        .accountant()
+                        .unwrap()
+                        .decision(window)
+                        .map(|d| d.spent_nano),
                     Some(eps_to_nano(eps)),
                     "{at}"
                 ),
                 NoEntry(window) => {
-                    assert_eq!(engine.accountant().decision(window), None, "{at}")
+                    assert_eq!(engine.accountant().unwrap().decision(window), None, "{at}")
                 }
-                Sliding(eps) => {
-                    assert_eq!(
-                        engine.summary().sliding_spent_nano,
-                        eps_to_nano(eps),
-                        "{at}"
-                    )
-                }
-                Recycled(eps) => {
-                    assert_eq!(engine.summary().recycled_nano, eps_to_nano(eps), "{at}")
-                }
+                Sliding(eps) => assert_eq!(
+                    engine.accountant().unwrap().sliding_spend_nano(),
+                    eps_to_nano(eps),
+                    "{at}"
+                ),
+                Recycled(eps) => assert_eq!(
+                    engine.accountant().unwrap().recycled_nano(),
+                    eps_to_nano(eps),
+                    "{at}"
+                ),
                 Counted(decisions, refusals) => assert_eq!(
-                    (pass.new_decisions, pass.new_refusals),
+                    (last().new_decisions, last().new_refusals),
                     (decisions, refusals),
                     "{at}"
                 ),
                 Grant(want) => assert_eq!(
-                    pass.grant.map(|g| (g.window, g.epoch, g.granted_nano)),
+                    last()
+                        .publication
+                        .grant
+                        .map(|g| (g.window, g.epoch, g.granted_nano)),
                     want.map(|(w, e, eps)| (w, e, eps_to_nano(eps))),
                     "{at}"
                 ),
                 Published(watermark, reports) => assert_eq!(
-                    engine.published_counts(&ring, watermark).num_reports,
+                    engine
+                        .published_counts(&ring, watermark)
+                        .map_or(0, |c| c.num_reports),
                     reports,
                     "{at}"
                 ),
             }
             // The contract, after every single step.
-            let acct = engine.accountant();
+            let acct = engine.accountant().unwrap();
             assert!(
                 acct.sliding_spend_nano() <= acct.config().total_nano,
                 "{at}"
             );
         }
+        let _ = std::fs::remove_file(&ledger);
     }
 
     #[test]
@@ -759,8 +969,74 @@ mod tests {
                 ],
             },
         ];
-        for case in &cases {
-            run(case);
+        for (index, case) in cases.iter().enumerate() {
+            run(case, index);
         }
+    }
+
+    #[test]
+    fn without_a_budget_the_pass_numbers_records_and_filters() {
+        let window = WindowConfig {
+            window_len: WINDOW_LEN,
+            num_windows: 4,
+        };
+        let mut ring = WindowedAggregator::new(vec![0; REGIONS], window);
+        let mut engine = PublicationEngine::default();
+        assert!(engine.published_counts(&ring, 0).is_none(), "empty ring");
+        let mut seq = 0;
+        for w in 0..3 {
+            ingest(&mut ring, &mut seq, w, 10, 0.75);
+        }
+        let pass = engine.publish(Some(&ring), 1);
+        let record = &pass.publication;
+        assert_eq!((record.seq, record.watermark), (1, 1));
+        assert_eq!(record.windows, vec![(0, 10), (1, 10), (2, 10)]);
+        assert_eq!(record.merged_reports, 30);
+        assert!(record.budget.is_none() && record.grant.is_none());
+        assert!(record.refused_windows.is_empty() && pass.settled.is_empty());
+        assert_eq!((pass.new_decisions, pass.new_refusals), (0, 0));
+        // Every window at or below the watermark publishes.
+        let published = engine.published_counts(&ring, 1).unwrap();
+        assert_eq!(published, ring.merged_where(|id| id <= 1));
+        assert_eq!(published.num_reports, 20);
+        // A batch cluster has no ring: the pass only numbers it.
+        let batch = engine.publish(None, 0).publication;
+        assert_eq!((batch.seq, batch.windows.len()), (2, 0));
+    }
+
+    #[test]
+    fn a_changed_contract_needs_a_ring_to_reseed_the_ledger() {
+        let ledger = temp_ledger("contract");
+        let open = |contract, ring_spends| {
+            PublicationEngine::budgeted(
+                budget(contract),
+                None,
+                true,
+                Some(ledger.clone()),
+                ring_spends,
+            )
+        };
+        let ring = WindowedAggregator::new(
+            vec![0; REGIONS],
+            WindowConfig {
+                window_len: WINDOW_LEN,
+                num_windows: 4,
+            },
+        );
+        let mut engine = open((3.0, 3), None).unwrap();
+        let grant = engine.publish(Some(&ring), 0).publication.grant;
+        assert!(grant.is_some(), "the bootstrap grant is durable");
+        // The same contract restores the ledger the pass wrote.
+        let same = open((3.0, 3), None).unwrap();
+        assert_eq!(same.accountant(), engine.accountant());
+        // A changed one is refused without a ring (a coordinator) and
+        // reseeded from the ring's spends with one (a node).
+        assert!(open((1.0, 2), None).is_err());
+        let reseeded = open((1.0, 2), Some(&[])).unwrap();
+        assert_eq!(reseeded.accountant().unwrap().grant_history().count(), 0);
+        // A corrupt ledger is an error either way.
+        std::fs::write(&ledger, b"TSBA garbage").unwrap();
+        assert!(open((3.0, 3), Some(&[])).is_err());
+        let _ = std::fs::remove_file(&ledger);
     }
 }

@@ -403,11 +403,13 @@ impl GrantBoard {
     /// Installs `grant` as current and pushes it to every live
     /// subscriber, pruning the dead (dropped or erroring) ones. An
     /// identical re-announcement is a no-op, so callers may announce on
-    /// every maintenance tick without re-flooding subscribers.
-    pub fn announce(&self, grant: GrantFrame) {
+    /// every maintenance tick without re-flooding subscribers. Returns
+    /// whether the grant was new, decided under the board lock, so
+    /// concurrent announcers count each grant once.
+    pub fn announce(&self, grant: GrantFrame) -> bool {
         let mut inner = self.inner.lock().unwrap();
         if inner.current == Some(grant) {
-            return;
+            return false;
         }
         inner.current = Some(grant);
         let payload = grant.payload();
@@ -420,11 +422,13 @@ impl GrantBoard {
             },
             None => false,
         });
+        true
     }
 
     /// How many subscribers are currently registered (live or not yet
-    /// pruned) — for counters and tests.
-    pub fn subscriber_count(&self) -> usize {
+    /// pruned).
+    #[cfg(test)]
+    fn subscriber_count(&self) -> usize {
         self.inner.lock().unwrap().subs.len()
     }
 }
@@ -599,9 +603,9 @@ mod tests {
         assert_eq!(board.subscribe(&early), None);
 
         let g1 = grant(1, 0, 500_000_000);
-        board.announce(g1);
+        assert!(board.announce(g1), "a new grant is counted");
         // Re-announcing the identical grant is a no-op (no duplicate push).
-        board.announce(g1);
+        assert!(!board.announce(g1), "a repeat is not");
 
         // Late joiner: gets g1 immediately on subscribe.
         let late: GrantSubscriber = Arc::new(Mutex::new(Vec::new()));

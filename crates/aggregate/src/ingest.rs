@@ -194,18 +194,6 @@ impl AggregateCounts {
         self.eps_nano_sum as f64 * 1e-9 / self.num_reports as f64
     }
 
-    /// Mean per-report ε′ on the nano-ε integer grid, rounded to
-    /// nearest. Monitoring only — budget settlement uses
-    /// [`AggregateCounts::max_eps_nano`], because the `w`-window
-    /// contract is per user and a single high-ε′ reporter hiding under a
-    /// low cohort mean would blow it. 0 for empty counters.
-    pub fn mean_eps_nano(&self) -> u64 {
-        self.eps_nano_sum
-            .saturating_add(self.num_reports / 2)
-            .checked_div(self.num_reports)
-            .unwrap_or(0)
-    }
-
     /// Worst (maximum) per-report ε′ on the nano-ε grid — the observed
     /// per-user window spend the streaming budget accountant settles
     /// ([`crate::budget`]): no individual *report* in this counter set
@@ -730,7 +718,7 @@ mod tests {
         let c = ingest_all(3, &reports);
         assert_eq!(c.eps_nano_max, 32_000_000_000);
         assert_eq!(c.max_eps_nano(), 32_000_000_000);
-        assert!(c.mean_eps_nano() < 1_000_000_000, "mean hides the outlier");
+        assert!(c.mean_eps_prime() < 1.0, "mean hides the outlier");
         // Merge takes the max of maxes; rejected reports never touch it.
         let clean = ingest_all(3, &[toy_report(&[0, 1], 0.5)]);
         let hostile = ingest_all(3, &[toy_report(&[0, 1], MAX_EPS_PRIME * 2.0)]);

@@ -36,7 +36,7 @@
 //!    over timestamped reports ([`WindowedAggregator`]) with exact
 //!    subtraction-based eviction, plus warm-started per-tick estimation
 //!    ([`StreamingEstimator`]), and [`budget`] / [`engine`] — the
-//!    `w`-window ε ledger and the one decision loop
+//!    `w`-window ε ledger and the one publication pass
 //!    ([`PublicationEngine`]) a node and a cluster coordinator both run
 //!    over it,
 //! 8. [`clusterproto`] — the `TSCL` snapshot-shipping frames a
@@ -79,7 +79,7 @@ pub use clusterproto::{
     decode_cluster_frame, encode_cluster_frame, read_cluster_frame, write_cluster_frame,
     ClusterFrame, WorkerSnapshot,
 };
-pub use engine::{BudgetPublication, Decisions, PublicationEngine};
+pub use engine::{read_ledger, BudgetPublication, Pass, Publication, PublicationEngine};
 pub use estimate::{norm_sub, ChannelInverse, EmChannel, EstimatorBackend, IbuSolver};
 pub use eval::{score_paired, EvalConfig, UtilityScores};
 pub use grant::{

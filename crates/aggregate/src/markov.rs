@@ -161,12 +161,6 @@ impl MobilityModel {
         let n = self.num_regions;
         &self.transition[tail.index() * n..(tail.index() + 1) * n]
     }
-
-    /// Draws a trajectory length from the length model; `None` when no
-    /// lengths were observed.
-    pub fn sample_length<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Option<usize> {
-        trajshare_mech::sample_from_weights(&self.length, rng)
-    }
 }
 
 pub(crate) fn normalize_counts(c: &[u64]) -> Vec<f64> {
@@ -282,7 +276,6 @@ mod tests {
         }
         // Length model: all mass on |τ| = 3.
         assert!((model.length[3] - 1.0).abs() < 1e-12);
-        assert_eq!(model.sample_length(&mut rng), Some(3));
     }
 
     #[test]

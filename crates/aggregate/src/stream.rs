@@ -513,7 +513,7 @@ pub struct StreamingEstimator {
     /// Cached `W₂` pattern (SparseW₂ backend only), rebuilt when the
     /// universe size changes — same invalidation rule as the posterior.
     /// Like the posterior cache, a caller that swaps to a *different*
-    /// graph of identical size must call [`StreamingEstimator::reset`].
+    /// graph of identical size must start a fresh estimator.
     w2: Option<CsrPattern>,
     posterior: Option<Posterior>,
 }
@@ -556,13 +556,6 @@ impl StreamingEstimator {
         self.solver.backend()
     }
 
-    /// Drops the carried posterior; the next tick is a cold solve (use
-    /// after a gap long enough that the previous window is uninformative).
-    pub fn reset(&mut self) {
-        self.posterior = None;
-        self.w2 = None;
-    }
-
     /// Whether the next tick will warm-start.
     pub fn is_warm(&self) -> bool {
         self.posterior.is_some()
@@ -575,9 +568,9 @@ impl StreamingEstimator {
         let n = counts.num_regions;
         let eps = counts.mean_eps_prime();
         let channel = (eps > 0.0).then(|| EmChannel::unigram(graph, eps));
-        // A posterior carried across a region-universe change (caller
-        // forgot `reset()`) is useless as a prior and would trip the
-        // warm-start length asserts; fall back to a cold solve instead.
+        // A posterior carried across a region-universe change is useless
+        // as a prior and would trip the warm-start length asserts; fall
+        // back to a cold solve instead.
         let prior = self
             .posterior
             .take()
@@ -1149,9 +1142,6 @@ mod tests {
             let mass: f64 = row.iter().sum();
             assert!(mass.abs() < 1e-9 || (mass - 1.0).abs() < 1e-9);
         }
-        // Reset forgets the posterior.
-        est.reset();
-        assert!(!est.is_warm());
         // A posterior from a different universe is discarded (cold solve)
         // rather than fed to the warm-start asserts.
         let small_pois: Vec<Poi> = (0..8)

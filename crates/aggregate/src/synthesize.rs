@@ -70,25 +70,6 @@ impl<'a> Synthesizer<'a> {
         Some(rec.trajectory)
     }
 
-    /// Draws `count` trajectories with lengths from the model's length
-    /// distribution (skipping draws that fail, which keeps the output
-    /// honest rather than padding with fabricated fallbacks).
-    pub fn synthesize<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> TrajectorySet {
-        let mut out = TrajectorySet::default();
-        for _ in 0..count {
-            let Some(len) = self.model.sample_length(rng) else {
-                break;
-            };
-            if len == 0 {
-                continue;
-            }
-            if let Some(t) = self.synthesize_one(len, rng) {
-                out.push(t);
-            }
-        }
-        out
-    }
-
     /// Draws one synthetic trajectory per requested length, index-paired
     /// with `lens` — the shape needed for paired utility measures (PRQ)
     /// against a real set. Lengths whose Markov walk fails after retries
@@ -246,20 +227,6 @@ mod tests {
                 assert!(g.is_feasible(w[0], w[1]), "infeasible step {w:?}");
             }
         }
-    }
-
-    #[test]
-    fn bulk_synthesis_uses_length_model_and_is_deterministic() {
-        let (ds, rs, g, model) = world();
-        let synth = Synthesizer::new(&ds, &rs, &g, &model);
-        let a = synth.synthesize(40, &mut StdRng::seed_from_u64(13));
-        let b = synth.synthesize(40, &mut StdRng::seed_from_u64(13));
-        assert_eq!(a.len(), 40, "every draw should succeed on this model");
-        for (x, y) in a.all().iter().zip(b.all()) {
-            assert_eq!(x, y, "seeded synthesis must be deterministic");
-        }
-        // Length model has all mass on |τ| = 3.
-        assert!(a.all().iter().all(|t| t.len() == 3));
     }
 
     #[test]

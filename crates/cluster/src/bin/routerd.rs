@@ -299,8 +299,9 @@ fn main() {
         std::thread::sleep(tick_every);
         if let Some(coord) = &mut coordinator {
             let view = coord.tick();
+            let record = &view.publication;
             if grants {
-                if let Some(g) = view.grant {
+                if let Some(g) = record.grant {
                     // One allocator, every front door: the router's own
                     // grant board for clients connected here, and each
                     // worker's export endpoint (TSCL GrantAnnounce) for
@@ -322,7 +323,7 @@ fn main() {
                         last_grant_epoch = Some(g.epoch);
                         println!(
                             "cluster grant seq={} epoch={} window={} eps={:.3}",
-                            view.seq,
+                            record.seq,
                             g.epoch,
                             g.window,
                             nano_to_eps(g.granted_nano)
@@ -330,23 +331,23 @@ fn main() {
                     }
                 }
             }
-            let windows: Vec<String> = view
+            let windows: Vec<String> = record
                 .windows
                 .iter()
                 .map(|(id, n)| format!("{id}:{n}"))
                 .collect();
             let epochs: Vec<String> = view.epochs.iter().map(|e| e.to_string()).collect();
-            let budget_desc = view.sliding_spend_nano.map_or(String::new(), |spent| {
+            let budget_desc = record.budget.as_ref().map_or(String::new(), |b| {
                 format!(
                     " budget[spent={:.3}ε refused={}]",
-                    nano_to_eps(spent),
-                    view.refused_windows.len()
+                    nano_to_eps(b.sliding_spent_nano),
+                    record.refused_windows.len()
                 )
             });
             println!(
                 "cluster published seq={} watermark={} workers={}/{} epochs=[{}] merged_reports={} windows=[{}] counts_crc={:08x}{}{}",
-                view.seq,
-                view.watermark,
+                record.seq,
+                record.watermark,
                 view.workers_up,
                 view.workers_total,
                 epochs.join(" "),
@@ -361,8 +362,8 @@ fn main() {
                 if let Some(model) = coord.estimate(graph) {
                     println!(
                         "cluster model seq={} watermark={} {}",
-                        view.seq,
-                        view.watermark,
+                        record.seq,
+                        record.watermark,
                         model_summary(&model)
                     );
                 }

@@ -35,21 +35,26 @@
 //! exact. A same-epoch report-count regression can only mean lost state
 //! and is surfaced as [`WorkerStatus::regressions`].
 //!
-//! **ε-budget.** The coordinator optionally runs the same
-//! [`PublicationEngine`] as a single-node server, over the merged view
-//! and below the cluster watermark — a single node is a cluster of one,
-//! so both enforce one rule set. With [`CoordConfig::ledger_path`] set the
-//! ledger is durable: restored at startup (a corrupt or
-//! config-mismatched blob is a hard error — restoring nothing would
-//! re-grant spent budget) and rewritten atomically inside every tick
-//! that changed a decision, *before* the tick returns. That ordering is
-//! the cluster's persist-before-broadcast rule: a grant `routerd` ever
-//! relayed is already on disk, so a coordinator killed and restarted
-//! mid-horizon re-announces the same ε′ instead of re-deciding it. A
-//! deployment picks one enforcement point — cluster-level accounting on
-//! the coordinator (the single allocator for the grant session), or
-//! per-worker accounting with no coordinator budget — and the docs
-//! recommend the former for exact global `w`-window guarantees.
+//! **Publication and ε-budget.** Every tick runs the same
+//! [`PublicationEngine`] pass as a single-node server, over the merged
+//! view and below the cluster watermark — a single node is a cluster of
+//! one, so both number, record, filter and (with
+//! [`CoordConfig::budget`]) decide by one rule set, and the tick's
+//! [`ClusterView`] embeds the pass's [`Publication`]. With
+//! [`CoordConfig::ledger_path`] set the ledger is durable: the engine
+//! restores it at startup (a corrupt blob, or one written under a
+//! different contract, is a hard error — the coordinator holds no ring
+//! to reseed it from, and restoring nothing would re-grant spent
+//! budget) and rewrites it atomically inside the pass whenever it
+//! moved, *before* the grant is released into the view. That ordering
+//! is the cluster's persist-before-broadcast rule: a grant `routerd`
+//! ever relayed is already on disk, so a coordinator killed and
+//! restarted mid-horizon re-announces the same ε′ instead of
+//! re-deciding it. A deployment picks one enforcement point —
+//! cluster-level accounting on the coordinator (the single allocator
+//! for the grant session), or per-worker accounting with no coordinator
+//! budget — and the docs recommend the former for exact global
+//! `w`-window guarantees.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpStream};
@@ -60,11 +65,9 @@ use trajshare_aggregate::clusterproto::{
     read_cluster_frame, write_cluster_frame, ClusterFrame, WorkerSnapshot,
 };
 use trajshare_aggregate::{
-    crc32, AggregateCounts, EstimatorBackend, GrantFrame, GrantRecord, MobilityModel,
-    PublicationEngine, StreamingEstimator, WindowBudgetAccountant, WindowBudgetConfig,
-    WindowConfig, WindowedAggregator,
+    crc32, AggregateCounts, EstimatorBackend, GrantRecord, MobilityModel, Publication,
+    PublicationEngine, StreamingEstimator, WindowBudgetConfig, WindowConfig, WindowedAggregator,
 };
-use trajshare_core::blob::write_blob_atomic;
 use trajshare_core::RegionGraph;
 
 /// Coordinator deployment shape.
@@ -86,10 +89,10 @@ pub struct CoordConfig {
     pub backend: EstimatorBackend,
     /// Durable `TSBA` ledger blob for the cluster accountant. `None`
     /// keeps the ledger in-memory (tests, ephemeral clusters); set, the
-    /// coordinator restores it in [`Coordinator::new`] and persists it
-    /// atomically after every tick that changed a decision, so a
-    /// restarted coordinator can never re-grant budget an earlier
-    /// incarnation already spent.
+    /// coordinator restores it in [`Coordinator::new`] and the
+    /// publication pass persists it atomically in every tick that moved
+    /// it, so a restarted coordinator can never re-grant budget an
+    /// earlier incarnation already spent.
     pub ledger_path: Option<PathBuf>,
     /// Region universe graph for the debiased divergence signal; `None`
     /// falls back to significance-testing raw occupancy.
@@ -144,14 +147,10 @@ struct WorkerSlot {
     ring: Option<WindowedAggregator>,
 }
 
-/// One tick's published cluster view.
+/// One tick's published cluster view: what only a cluster has, plus
+/// the publication record the shared engine pass produced.
 #[derive(Debug, Clone)]
 pub struct ClusterView {
-    /// Monotonic tick sequence number (1-based).
-    pub seq: u64,
-    /// min over worker watermarks (0 until every contacted worker
-    /// ships a ring).
-    pub watermark: u64,
     /// Workers whose pull succeeded this tick.
     pub workers_up: usize,
     /// Total workers.
@@ -163,8 +162,6 @@ pub struct ClusterView {
     pub epochs: Vec<u64>,
     /// Total reports in the merged counts.
     pub merged_reports: u64,
-    /// Live merged windows, `(id, reports)` ascending.
-    pub windows: Vec<(u64, u64)>,
     /// Bit-exact fingerprint of the merged *total* counts: CRC-32 of
     /// the `TSC1` encoding minus its trailing CRC (the
     /// `CountsSummary::of` idiom).
@@ -173,15 +170,10 @@ pub struct ClusterView {
     /// not streaming). This is the value the CI smoke compares across
     /// worker kill/restart.
     pub ring_crc32: Option<u32>,
-    /// Windows the cluster budget refused (empty without a budget).
-    pub refused_windows: Vec<u64>,
-    /// Current sliding-window spend, nano-ε (`None` without a budget).
-    pub sliding_spend_nano: Option<u64>,
-    /// The standing grant for the next window — freshly allocated this
-    /// tick or the re-announced latest decision (`None` without a
-    /// budget). Already durable when the view is returned, so relaying
-    /// it is always safe.
-    pub grant: Option<GrantFrame>,
+    /// The tick's publication: sequence number, cluster watermark
+    /// (min over worker watermarks), merged windows, budget books and the
+    /// standing grant — already durable, so relaying it is always safe.
+    pub publication: Publication,
 }
 
 /// Pulls one snapshot from a worker export endpoint: connect, send
@@ -206,20 +198,17 @@ pub fn pull_snapshot(addr: SocketAddr, timeout: Duration) -> std::io::Result<Wor
 }
 
 /// The coordinator: owns the worker slots, the merged view, the
-/// warm-started estimator, and (optionally) the cluster budget ledger.
+/// warm-started estimator, and the publication engine (with the cluster
+/// budget ledger when one runs).
 pub struct Coordinator {
     config: CoordConfig,
     slots: Vec<WorkerSlot>,
-    seq: u64,
     estimator: StreamingEstimator,
-    engine: Option<PublicationEngine>,
+    engine: PublicationEngine,
     /// Last tick's merged state, for [`Coordinator::estimate`].
     merged_counts: AggregateCounts,
     merged_ring: Option<WindowedAggregator>,
     watermark: u64,
-    /// The ledger encoding as last persisted — skips the disk write on
-    /// ticks that decided nothing new.
-    last_ledger: Vec<u8>,
 }
 
 impl Coordinator {
@@ -227,7 +216,7 @@ impl Coordinator {
     /// [`Coordinator::tick`]. With [`CoordConfig::ledger_path`] set and
     /// the file present, the accountant is restored from it — and a
     /// blob that fails to decode or was written under a different
-    /// budget config is a **panic**, not a silent fresh start, because
+    /// budget contract is a **panic**, not a silent fresh start, because
     /// a coordinator that forgot its spends would re-grant them.
     pub fn new(config: CoordConfig) -> Self {
         assert!(!config.exports.is_empty(), "need at least one worker");
@@ -258,29 +247,20 @@ impl Coordinator {
             })
             .collect();
         let num_regions = config.region_tiles.len();
-        let mut last_ledger = Vec::new();
-        let engine = config.budget.map(|budget| {
-            let stored = config.ledger_path.as_ref().and_then(|path| {
-                let bytes = match std::fs::read(path) {
-                    Ok(bytes) => bytes,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
-                    Err(e) => panic!("cannot read cluster ledger {}: {e}", path.display()),
-                };
-                let stored = WindowBudgetAccountant::decode(&bytes)
-                    .unwrap_or_else(|e| panic!("corrupt cluster ledger {}: {e:?}", path.display()));
-                assert!(
-                    stored.config() == budget,
-                    "cluster ledger {} was written under a different budget config",
-                    path.display()
-                );
-                last_ledger = bytes;
-                Some(stored)
-            });
-            // The coordinator is the cluster's single allocator, so the
-            // grant session is always on; it holds no ring of its own at
-            // startup, so there are no spend annotations to seed from.
-            PublicationEngine::restore(budget, config.graph.clone(), true, stored, &[])
-        });
+        // The coordinator is the cluster's single allocator, so the grant
+        // session is always on; it holds no ring at startup, so a ledger
+        // under a changed contract cannot be reseeded (`None`).
+        let engine = match config.budget {
+            Some(budget) => PublicationEngine::budgeted(
+                budget,
+                config.graph.clone(),
+                true,
+                config.ledger_path.clone(),
+                None,
+            )
+            .unwrap_or_else(|e| panic!("cannot restore the cluster ledger: {e}")),
+            None => PublicationEngine::default(),
+        };
         Coordinator {
             estimator: StreamingEstimator::with_backend(
                 StreamingEstimator::DEFAULT_COLD_ITERS,
@@ -291,9 +271,7 @@ impl Coordinator {
             merged_counts: AggregateCounts::new(num_regions),
             merged_ring: None,
             watermark: 0,
-            last_ledger,
             slots,
-            seq: 0,
             config,
         }
     }
@@ -318,7 +296,6 @@ impl Coordinator {
     /// view from scratch, agree on the watermark, run budget decisions,
     /// and return the published view.
     pub fn tick(&mut self) -> ClusterView {
-        self.seq += 1;
         // Phase 1: pull. Only a snapshot whose blobs fully decode
         // replaces a slot's cached state.
         for slot in &mut self.slots {
@@ -362,28 +339,15 @@ impl Coordinator {
             .min()
             .unwrap_or(0);
 
-        // Phase 4: the shared decision pass, over merged windows at or
-        // below the watermark.
-        let grant = match (&mut self.engine, &ring) {
-            (Some(engine), Some(view)) => engine.decide(view, watermark).grant,
-            _ => None,
-        };
-
-        // Persist-before-broadcast: the ledger hits disk before the
-        // view (and the grant inside it) is returned to anyone who
-        // could relay it. A coordinator that cannot persist must not
-        // announce — failing fast beats over-granting after a restart.
-        self.persist_ledger();
-
-        let windows = ring
-            .as_ref()
-            .map(|r| {
-                r.windows()
-                    .into_iter()
-                    .map(|(id, c)| (id, c.num_reports))
-                    .collect()
-            })
-            .unwrap_or_default();
+        // Phase 4: the shared publication pass over merged windows at or
+        // below the watermark. It persists the ledger before it releases
+        // the grant into the record: a coordinator that cannot persist
+        // must not announce — failing fast beats over-granting after a
+        // restart.
+        let pass = self.engine.publish(ring.as_ref(), watermark);
+        if let Err(e) = pass.persisted {
+            panic!("cannot persist the cluster ledger: {e}");
+        }
         let counts_crc32 = snapshot_fingerprint(&counts);
         let ring_crc32 = ring.as_ref().map(|r| snapshot_fingerprint(r.merged()));
 
@@ -392,44 +356,14 @@ impl Coordinator {
         self.watermark = watermark;
 
         ClusterView {
-            seq: self.seq,
-            watermark,
             workers_up: self.slots.iter().filter(|s| s.status.up).count(),
             workers_total: self.slots.len(),
             epochs: self.slots.iter().map(|s| s.status.epoch).collect(),
             merged_reports: self.merged_counts.num_reports,
-            windows,
             counts_crc32,
             ring_crc32,
-            refused_windows: self
-                .engine
-                .as_ref()
-                .map(PublicationEngine::refused_windows)
-                .unwrap_or_default(),
-            sliding_spend_nano: self.ledger().map(|a| a.sliding_spend_nano()),
-            grant,
+            publication: pass.publication,
         }
-    }
-
-    /// Atomically rewrites the ledger blob if it changed since the last
-    /// write. Panics on failure: see the persist-before-broadcast note in
-    /// [`Coordinator::tick`].
-    fn persist_ledger(&mut self) {
-        let (Some(engine), Some(path)) = (&self.engine, &self.config.ledger_path) else {
-            return;
-        };
-        let encoded = engine.ledger_bytes();
-        if encoded == self.last_ledger {
-            return;
-        }
-        write_blob_atomic(path, &encoded)
-            .unwrap_or_else(|e| panic!("cannot persist cluster ledger {}: {e}", path.display()));
-        self.last_ledger = encoded;
-    }
-
-    /// The cluster ledger, when a budget runs.
-    fn ledger(&self) -> Option<&WindowBudgetAccountant> {
-        self.engine.as_ref().map(PublicationEngine::accountant)
     }
 
     /// Validates and installs one pulled snapshot into its slot.
@@ -479,36 +413,27 @@ impl Coordinator {
 
     /// Estimates the cluster mobility model from the last tick's merged
     /// view, warm-starting from the previous call. Streaming clusters
-    /// estimate over the published windows (accepted ∧ ≤ watermark when
-    /// a budget runs, every window ≤ watermark otherwise); batch
-    /// clusters estimate over the totals. Returns `None` when the view
-    /// holds no reports to estimate from.
+    /// estimate over the engine's one filter
+    /// ([`PublicationEngine::published_counts`] at the cluster
+    /// watermark); batch clusters estimate over the totals. Returns
+    /// `None` when the view holds no reports to estimate from.
     pub fn estimate(&mut self, graph: &RegionGraph) -> Option<MobilityModel> {
-        let counts: AggregateCounts;
-        let view = match (&self.merged_ring, &self.engine) {
-            (Some(ring), Some(engine)) => {
-                counts = engine.published_counts(ring, self.watermark);
-                &counts
+        let published;
+        let counts = match &self.merged_ring {
+            Some(ring) => {
+                published = self.engine.published_counts(ring, self.watermark)?;
+                &published
             }
-            (Some(ring), None) => {
-                counts = ring.merged_where(|id| id <= self.watermark);
-                &counts
-            }
-            (None, _) => &self.merged_counts,
+            None if self.merged_counts.num_reports > 0 => &self.merged_counts,
+            None => return None,
         };
-        if view.num_reports == 0 {
-            return None;
-        }
-        Some(self.estimator.tick(view, graph))
+        Some(self.estimator.tick(counts, graph))
     }
 
     /// Windows currently accepted for publication (ascending). Without
     /// a budget this is empty — every window ≤ watermark publishes.
     pub fn accepted_windows(&self) -> Vec<u64> {
-        self.engine
-            .as_ref()
-            .map(PublicationEngine::accepted_windows)
-            .unwrap_or_default()
+        self.engine.accepted_windows()
     }
 
     /// The cluster budget's epoch-stamped grant history, oldest first —
@@ -516,7 +441,8 @@ impl Coordinator {
     /// so a restart that re-announces instead of re-deciding leaves
     /// this log's length unchanged (the no-double-grant assertion).
     pub fn grant_history(&self) -> Vec<GrantRecord> {
-        self.ledger()
+        self.engine
+            .accountant()
             .map(|a| a.grant_history().copied().collect())
             .unwrap_or_default()
     }
@@ -524,7 +450,8 @@ impl Coordinator {
     /// The cluster budget's decision log, `window → (granted, spent,
     /// refused)` — empty without a budget.
     pub fn budget_decisions(&self) -> BTreeMap<u64, (u64, u64, bool)> {
-        self.ledger()
+        self.engine
+            .accountant()
             .map(|a| {
                 a.decisions()
                     .map(|d| (d.window, (d.granted_nano, d.spent_nano, d.refused)))

@@ -35,8 +35,10 @@
 //!   `WindowedAggregator` every tick (full-state replacement, so a
 //!   re-pull can never double-count), agrees on the cluster watermark
 //!   (min over worker watermarks, tagged with each worker's epoch =
-//!   file generation), and runs the warm-started estimator + ε-budget
-//!   accounting over the merged view.
+//!   file generation), and runs the same publication pass as a single
+//!   node (`trajshare_aggregate::PublicationEngine`: ε-budget decisions,
+//!   the persisted ledger, the publication record) plus a warm-started
+//!   estimator over the merged view.
 //!
 //! The binary is `routerd`: router and coordinator in one process (each
 //! optional, so it also runs as a pure router or a pure `coordd`).

@@ -114,7 +114,7 @@ fn cluster_merge_is_bit_identical_and_survives_worker_restart() {
     assert_eq!(view.merged_reports, n);
 
     let single_ring = single.windowed_counts().unwrap();
-    assert_eq!(view.watermark, single_ring.newest_window());
+    assert_eq!(view.publication.watermark, single_ring.newest_window());
     assert_eq!(view.counts_crc32, snapshot_fingerprint(&single.counts()));
     assert_eq!(
         view.ring_crc32.unwrap(),
@@ -598,13 +598,16 @@ fn closed_loop_grants_are_durable_across_coordinator_restart() {
             // The sliding-sum invariant holds by construction on every
             // single tick, and refusal stays the never-taken exception
             // path.
-            assert!(view.sliding_spend_nano.unwrap() <= eps_to_nano(TOTAL_EPS));
             assert!(
-                view.refused_windows.is_empty(),
-                "refusals must stay the exception path: {:?}",
-                view.refused_windows
+                view.publication.budget.as_ref().unwrap().sliding_spent_nano
+                    <= eps_to_nano(TOTAL_EPS)
             );
-            if let Some(g) = view.grant {
+            assert!(
+                view.publication.refused_windows.is_empty(),
+                "refusals must stay the exception path: {:?}",
+                view.publication.refused_windows
+            );
+            if let Some(g) = view.publication.grant {
                 relay(g);
                 if g.window >= k {
                     grant = Some(g);
@@ -636,7 +639,7 @@ fn closed_loop_grants_are_durable_across_coordinator_restart() {
         // cleanly (spend == grant, not refused).
         let settled = (0..250).any(|_| {
             let view = coord.tick();
-            if let Some(g) = view.grant {
+            if let Some(g) = view.publication.grant {
                 relay(g);
             }
             let ok =
@@ -694,18 +697,29 @@ fn closed_loop_grants_are_durable_across_coordinator_restart() {
     assert_eq!(coord2.grant_history(), history_before);
     assert_eq!(coord2.budget_decisions(), decisions_before);
     assert_eq!(
-        view2.grant.map(|g| (g.window, g.epoch, g.granted_nano)),
+        view2
+            .publication
+            .grant
+            .map(|g| (g.window, g.epoch, g.granted_nano)),
         history_before
             .last()
             .map(|r| (r.window, r.epoch, r.granted_nano)),
         "restart must re-announce the standing grant, not re-grant it"
     );
-    assert!(view2.refused_windows.is_empty());
-    assert!(view2.sliding_spend_nano.unwrap() <= eps_to_nano(TOTAL_EPS));
+    assert!(view2.publication.refused_windows.is_empty());
+    assert!(
+        view2
+            .publication
+            .budget
+            .as_ref()
+            .unwrap()
+            .sliding_spent_nano
+            <= eps_to_nano(TOTAL_EPS)
+    );
     let accepted_after: Vec<u64> = coord2
         .accepted_windows()
         .into_iter()
-        .filter(|&w| w <= view2.watermark)
+        .filter(|&w| w <= view2.publication.watermark)
         .collect();
     assert_eq!(accepted_after, accepted_before);
     // Same merged view, same accepted set, deterministic cold solve:
@@ -765,8 +779,8 @@ fn coordinator_refuses_late_over_claims_into_expired_but_live_windows() {
         let cohort: Vec<Report> = (0..50).map(|i| grant_report(i, w * 10, 0.75)).collect();
         assert_eq!(stream_reports(worker.addr(), &cohort, 2).unwrap(), 50);
         let view = coord.tick();
-        assert_eq!(view.watermark, w);
-        assert!(view.refused_windows.is_empty());
+        assert_eq!(view.publication.watermark, w);
+        assert!(view.publication.refused_windows.is_empty());
     }
     assert_eq!(coord.accepted_windows(), vec![0, 1, 2, 3]);
     assert!(
@@ -778,7 +792,7 @@ fn coordinator_refuses_late_over_claims_into_expired_but_live_windows() {
     let late: Vec<Report> = (0..5).map(|i| grant_report(i, 0, 0.9)).collect();
     assert_eq!(stream_reports(worker.addr(), &late, 1).unwrap(), 5);
     let view = coord.tick();
-    assert_eq!(view.refused_windows, vec![0]);
+    assert_eq!(view.publication.refused_windows, vec![0]);
     assert_eq!(coord.accepted_windows(), vec![1, 2, 3], "window 3 stays");
 
     // And window 0 is out of what the coordinator estimates from: its
@@ -799,8 +813,9 @@ fn coordinator_refuses_late_over_claims_into_expired_but_live_windows() {
 
 /// A single node is a cluster of one: the same report stream through a
 /// budgeted node and through a budgeted coordinator over one un-budgeted
-/// worker ends in the same ledger and the same refusals — accepted,
-/// over-grant, pre-granted and expired-but-live windows included.
+/// worker ends in the same ledger, on disk as in memory, the same
+/// refusals — accepted, over-grant, pre-granted and expired-but-live
+/// windows included — and the same published model.
 #[test]
 fn a_budgeted_node_and_a_coordinator_over_one_worker_decide_identically() {
     let budget = uniform_budget(3.0, 3);
@@ -822,7 +837,10 @@ fn a_budgeted_node_and_a_coordinator_over_one_worker_decide_identically() {
     let mut ccfg = CoordConfig::new(vec![worker.export_addr().unwrap()], vec![0u16; REGIONS]);
     ccfg.window = Some(DEEP_WINDOW);
     ccfg.budget = Some(budget);
-    ccfg.graph = Some(graph);
+    ccfg.graph = Some(graph.clone());
+    let ledger_path = worker_dir.with_extension("tsba");
+    let _ = std::fs::remove_file(&ledger_path);
+    ccfg.ledger_path = Some(ledger_path.clone());
     let mut coord = Coordinator::new(ccfg);
 
     // Whole cohorts, one window at a time, each at a single ε′: a pass
@@ -837,7 +855,10 @@ fn a_budgeted_node_and_a_coordinator_over_one_worker_decide_identically() {
     for (step, &(window, eps)) in cohorts.iter().enumerate() {
         // Both sides must have pre-granted the next window before its
         // data arrives (the bootstrap grant before the first cohort).
-        let standing = view.grant.expect("the coordinator always grants");
+        let standing = view
+            .publication
+            .grant
+            .expect("the coordinator always grants");
         let caught_up = std::time::Instant::now();
         while node.latest_grant() != Some(standing) {
             assert!(
@@ -851,10 +872,10 @@ fn a_budgeted_node_and_a_coordinator_over_one_worker_decide_identically() {
         assert_eq!(stream_reports(worker.addr(), &cohort, 2).unwrap(), 40);
         view = coord.tick();
     }
-    assert_eq!(view.refused_windows, vec![0, 2]);
+    assert_eq!(view.publication.refused_windows, vec![0, 2]);
 
     let settled = std::time::Instant::now();
-    while node.budget_refused_windows() != view.refused_windows {
+    while node.budget_refused_windows() != view.publication.refused_windows {
         assert!(settled.elapsed() < wait, "node never refused window 0");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -862,12 +883,28 @@ fn a_budgeted_node_and_a_coordinator_over_one_worker_decide_identically() {
     assert_eq!(node.budget_grant_history(), coord.grant_history());
     assert_eq!(
         Some(ledger.sliding_spend_nano()),
-        view.sliding_spend_nano,
+        view.publication.budget.map(|b| b.sliding_spent_nano),
         "same sliding spend"
     );
-    assert_eq!(node.latest_grant(), view.grant);
+    assert_eq!(node.latest_grant(), view.publication.grant);
+    // One ledger writer: the node's `BUDGET` file and the coordinator's
+    // ledger file hold the same accountant, which is the node's live one.
+    let on_disk = |path: &std::path::Path| {
+        trajshare_aggregate::read_ledger(path)
+            .unwrap()
+            .expect("ledger persisted")
+    };
+    let node_file = on_disk(&node_dir.join("BUDGET"));
+    assert_eq!(node_file, on_disk(&ledger_path));
+    assert_eq!(node_file, ledger);
+    // One estimate filter: fresh (cold) estimators over the two sides'
+    // published windows land on the same bits.
+    let node_model = node.estimate_window_model(&graph).expect("node publishes");
+    let coord_model = coord.estimate(&graph).expect("coordinator publishes");
+    assert_eq!(format!("{node_model:?}"), format!("{coord_model:?}"));
 
     let _ = (node.shutdown(), worker.shutdown());
+    let _ = std::fs::remove_file(&ledger_path);
     for d in [node_dir, worker_dir] {
         let _ = std::fs::remove_dir_all(&d);
     }

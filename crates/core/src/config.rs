@@ -121,12 +121,6 @@ impl MechanismConfig {
         self.n = n;
         self
     }
-
-    /// Builder-style setter for the solver.
-    pub fn with_solver(mut self, solver: ReconstructionSolver) -> Self {
-        self.solver = solver;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -168,13 +162,9 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let c = MechanismConfig::default()
-            .with_epsilon(1.0)
-            .with_n(3)
-            .with_solver(ReconstructionSolver::Ilp);
+        let c = MechanismConfig::default().with_epsilon(1.0).with_n(3);
         assert_eq!(c.epsilon, 1.0);
         assert_eq!(c.n, 3);
-        assert_eq!(c.solver, ReconstructionSolver::Ilp);
         assert!(c.validate().is_ok());
     }
 }

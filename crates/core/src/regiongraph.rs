@@ -133,12 +133,6 @@ impl RegionGraph {
         Self::adjacency_csr(&self.succ)
     }
 
-    /// Exports the predecessor adjacency (`W₂` rows = heads) in CSR form —
-    /// the transpose of [`RegionGraph::successor_csr`].
-    pub fn predecessor_csr(&self) -> (Vec<usize>, Vec<u32>) {
-        Self::adjacency_csr(&self.pred)
-    }
-
     fn adjacency_csr(rows: &[Vec<u32>]) -> (Vec<usize>, Vec<u32>) {
         let mut row_ptr = Vec::with_capacity(rows.len() + 1);
         let mut cols = Vec::with_capacity(rows.iter().map(Vec::len).sum());
@@ -298,18 +292,6 @@ mod tests {
                 &scols[srow[r.index()]..srow[r.index() + 1]],
                 g.successors(r)
             );
-        }
-        // The predecessor export is the successor export's transpose.
-        let (prow, pcols) = g.predecessor_csr();
-        assert_eq!(pcols.len(), g.num_bigrams());
-        let mut transposed: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for a in 0..n {
-            for &b in &scols[srow[a]..srow[a + 1]] {
-                transposed[b as usize].push(a as u32);
-            }
-        }
-        for b in 0..n {
-            assert_eq!(&pcols[prow[b]..prow[b + 1]], &transposed[b]);
         }
     }
 

@@ -172,18 +172,6 @@ impl CategoryHierarchy {
         Some(a)
     }
 
-    /// Whether `anc` is an ancestor of `id` (or equal to it).
-    pub fn is_ancestor_or_self(&self, anc: CategoryId, id: CategoryId) -> bool {
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            if c == anc {
-                return true;
-            }
-            cur = self.parent(c);
-        }
-        false
-    }
-
     /// Full path of names from root to `id`, joined with " / ".
     pub fn path_name(&self, id: CategoryId) -> String {
         let mut parts = Vec::new();
@@ -267,14 +255,6 @@ mod tests {
         let left_leaf = ids[2];
         let right_leaf = *ids.last().unwrap();
         assert_eq!(h.lca(left_leaf, right_leaf), None);
-    }
-
-    #[test]
-    fn is_ancestor_or_self_works() {
-        let (h, ids) = sample();
-        assert!(h.is_ancestor_or_self(ids[0], ids[2]));
-        assert!(h.is_ancestor_or_self(ids[2], ids[2]));
-        assert!(!h.is_ancestor_or_self(ids[2], ids[0]));
     }
 
     #[test]

@@ -85,13 +85,6 @@ impl PrivacyBudget {
         Ok(())
     }
 
-    /// Splits the *total* budget into `parts` equal shares (the paper's
-    /// ε′ = ε/(|τ|+n−1)); does not consume anything.
-    pub fn equal_share(&self, parts: usize) -> f64 {
-        assert!(parts > 0, "cannot split into zero parts");
-        self.total / parts as f64
-    }
-
     /// Whether the whole budget has been used (within tolerance).
     pub fn is_exhausted(&self) -> bool {
         self.remaining() <= self.tolerance
@@ -128,7 +121,7 @@ mod tests {
         // |τ| = 5, n = 2 -> 6 windows, each ε/6; composition = ε exactly.
         let mut b = PrivacyBudget::new(5.0);
         let parts = 6;
-        let share = b.equal_share(parts);
+        let share = 5.0 / parts as f64;
         for _ in 0..parts {
             b.consume(share).unwrap();
         }
@@ -140,7 +133,7 @@ mod tests {
     fn many_tiny_shares_tolerate_fp_accumulation() {
         let mut b = PrivacyBudget::new(1.0);
         let parts = 10_000;
-        let share = b.equal_share(parts);
+        let share = 1.0 / parts as f64;
         for i in 0..parts {
             b.consume(share)
                 .unwrap_or_else(|e| panic!("failed at {i}: {e}"));

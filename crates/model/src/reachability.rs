@@ -46,11 +46,6 @@ impl<'a> ReachabilityOracle<'a> {
         Self { dataset, speed }
     }
 
-    /// Overrides the speed (used by the travel-speed sweeps of §7.2.4).
-    pub fn with_speed(dataset: &'a Dataset, speed: TravelSpeed) -> Self {
-        Self { dataset, speed }
-    }
-
     /// The configured speed.
     #[inline]
     pub fn speed(&self) -> TravelSpeed {
@@ -210,14 +205,5 @@ mod tests {
         let o = ReachabilityOracle::new(&ds);
         let mu = o.mu_estimate(10_000);
         assert!(mu > 0.0 && mu < 1.0, "mu = {mu}");
-    }
-
-    #[test]
-    fn speed_override_changes_answer() {
-        let ds = line_dataset(Some(8.0));
-        let slow = ReachabilityOracle::with_speed(&ds, TravelSpeed::Kmh(1.0));
-        assert!(!slow.is_reachable_m(PoiId(0), PoiId(1), 10.0));
-        let fast = ReachabilityOracle::with_speed(&ds, TravelSpeed::Kmh(100.0));
-        assert!(fast.is_reachable_m(PoiId(0), PoiId(9), 10.0));
     }
 }

@@ -101,15 +101,6 @@ impl TimeInterval {
         Self { start_min, end_min }
     }
 
-    /// Builds the `count` equal intervals that tile the day.
-    pub fn tiling(count: u32) -> Vec<TimeInterval> {
-        assert!(count > 0 && MINUTES_PER_DAY.is_multiple_of(count));
-        let w = MINUTES_PER_DAY / count;
-        (0..count)
-            .map(|i| TimeInterval::new(i * w, (i + 1) * w))
-            .collect()
-    }
-
     /// Whether the timestep's start minute falls in the interval.
     #[inline]
     pub fn contains(&self, domain: &TimeDomain, t: Timestep) -> bool {
@@ -189,17 +180,6 @@ mod tests {
     fn format_renders_hhmm() {
         let d = TimeDomain::new(10);
         assert_eq!(d.format(Timestep(65)), "10:50");
-    }
-
-    #[test]
-    fn tiling_covers_day_without_overlap() {
-        let tiles = TimeInterval::tiling(24);
-        assert_eq!(tiles.len(), 24);
-        assert_eq!(tiles[0].start_min, 0);
-        assert_eq!(tiles[23].end_min, MINUTES_PER_DAY);
-        for w in tiles.windows(2) {
-            assert_eq!(w[0].end_min, w[1].start_min);
-        }
     }
 
     #[test]

@@ -54,18 +54,6 @@ impl OdMatrix {
         v
     }
 
-    /// Fraction of this matrix's top-k chains that also appear in the
-    /// other matrix's top-k — the planning-decision overlap metric used by
-    /// the transit example.
-    pub fn top_k_overlap(&self, other: &OdMatrix, k: usize) -> f64 {
-        if k == 0 {
-            return 1.0;
-        }
-        let mine: Vec<(u32, u32)> = self.top_k(k).into_iter().map(|(p, _)| p).collect();
-        let theirs: Vec<(u32, u32)> = other.top_k(k).into_iter().map(|(p, _)| p).collect();
-        mine.iter().filter(|p| theirs.contains(p)).count() as f64 / k as f64
-    }
-
     /// L1 distance between the two matrices' transition *distributions*
     /// (total-variation ×2); 0 = identical flow structure.
     pub fn l1_distance(&self, other: &OdMatrix) -> f64 {
@@ -157,7 +145,6 @@ mod tests {
             Trajectory::from_pairs(&[(2, 10), (3, 20)]),
         ];
         let od = OdMatrix::build(&ds, &ts, 2);
-        assert_eq!(od.top_k_overlap(&od, 2), 1.0);
         assert_eq!(od.l1_distance(&od), 0.0);
     }
 
@@ -167,7 +154,6 @@ mod tests {
         let a = OdMatrix::build(&ds, &[Trajectory::from_pairs(&[(0, 10), (1, 20)])], 2);
         let b = OdMatrix::build(&ds, &[Trajectory::from_pairs(&[(2, 10), (3, 20)])], 2);
         assert_eq!(a.l1_distance(&b), 2.0);
-        assert_eq!(a.top_k_overlap(&b, 1), 0.0);
     }
 
     #[test]
@@ -176,6 +162,5 @@ mod tests {
         let empty = OdMatrix::build(&ds, &[], 2);
         assert_eq!(empty.total(), 0);
         assert!(empty.top_k(3).is_empty());
-        assert_eq!(empty.top_k_overlap(&empty, 0), 1.0);
     }
 }

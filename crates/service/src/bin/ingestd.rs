@@ -496,7 +496,7 @@ fn main() {
                     println!(
                         "published seq={} newest={} oldest={} merged_reports={} late={} windows=[{}]{}",
                         p.seq,
-                        p.newest_window,
+                        p.watermark,
                         p.oldest_window,
                         p.merged_reports,
                         p.late_reports,
@@ -517,7 +517,7 @@ fn main() {
                             println!(
                                 "model seq={} newest={} {}",
                                 p.seq,
-                                p.newest_window,
+                                p.watermark,
                                 model_summary(&model)
                             );
                         }

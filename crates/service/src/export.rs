@@ -90,12 +90,7 @@ pub(crate) fn export_loop(
                         // coordinator's connection over it would cost a
                         // snapshot pull cycle for nothing.
                         Ok(ClusterFrame::GrantAnnounce(grant)) => {
-                            if let Some(board) = &board {
-                                if board.current() != Some(grant) {
-                                    stats.bump(&stats.grants_published);
-                                }
-                                board.announce(grant);
-                            }
+                            stats.announce(board.as_deref(), grant)
                         }
                         // A worker never accepts snapshots; anything but
                         // a pull or a grant relay is a protocol

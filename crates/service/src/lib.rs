@@ -37,7 +37,7 @@ pub use client::{
     stream_wires, GrantClient,
 };
 pub use server::{
-    BudgetPublication, CountsSummary, IngestProfileSnapshot, IngestServer, RecoverySummary,
-    ServerConfig, ServerHandle, ServerStats, StreamPublication, StreamServerConfig,
+    BudgetPublication, CountsSummary, IngestProfileSnapshot, IngestServer, Publication,
+    RecoverySummary, ServerConfig, ServerHandle, ServerStats, StreamServerConfig,
 };
 pub use storage::{load, replay_wal, Recovery, ReplayStats, SyncPolicy, WalWriter};

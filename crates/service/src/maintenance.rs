@@ -1,77 +1,66 @@
-//! The maintenance thread: periodic window publication, the node's half
-//! of the budget pass, the group-commit time bound, and size-triggered
-//! online WAL compaction. See [`crate::server`] for the architecture.
+//! The maintenance thread: periodic window publication through the
+//! shared engine pass plus the node's ring mirror, the group-commit time
+//! bound, and size-triggered online WAL compaction. See
+//! [`crate::server`] for the architecture.
 
-use crate::server::{BaseState, ServerConfig, ServerStats, Shard, StreamPublication};
+use crate::server::{BaseState, ServerConfig, ServerStats, Shard};
 use crate::storage::{self, SyncPolicy, WalWriter};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use trajshare_aggregate::{
-    Aggregator, GrantBoard, GrantFrame, PublicationEngine, WindowedAggregator,
+    Aggregator, GrantBoard, Publication, PublicationEngine, WindowedAggregator,
 };
 use trajshare_core::blob::write_blob_atomic;
 
-/// What the maintenance thread remembers between budget passes.
-#[derive(Default)]
-struct BudgetPassState {
-    /// Spends already mirrored onto the shard rings *this process
-    /// lifetime* — starts empty so the first pass after a restart
-    /// re-annotates recovered windows, then gates the mirror writes so
-    /// the steady state (no spend moved) takes no shard locks.
-    mirrored: BTreeMap<u64, u64>,
-    /// Ledger bytes last persisted, to skip no-op `BUDGET` rewrites.
-    persisted: Vec<u8>,
-}
-
-/// One budget pass of the maintenance thread: the shared engine decides
-/// over the merged view (a node's watermark is simply its newest
-/// window), then the node does what only a node has — bump
-/// [`ServerStats`], mirror the settled spends onto its rings, and write
-/// `BUDGET` when the ledger moved. The persist happens before the caller
-/// can broadcast the returned grant, so a grant a client ever saw is
-/// always on disk and a restart can never re-decide it differently.
+/// One publication of the maintenance thread: the shared engine pass
+/// over the merged view (a node's watermark is simply its newest window)
+/// decides, persists `BUDGET` when the ledger moved, and releases the
+/// grant; then the node does what only a node has — mirror the settled
+/// spends onto its rings, announce the grant, store the record, and only
+/// then move the counters that describe it.
 ///
 /// The mirror goes to the base ring *and* every shard ring holding the
 /// window: base-ring slots hold no data until compaction, so the shard
 /// mirrors are what persist (with the next shard snapshot) and what
-/// recovery's `window_spends()` reseeds the books from. The engine lock
+/// recovery's `window_spends()` reseeds the books from. `mirrored`
+/// holds the spends already mirrored onto the shard rings *this process
+/// lifetime* — it starts empty so the first pass after a restart
+/// re-annotates recovered windows, then gates the shard writes so the
+/// steady state (no spend moved) takes no shard locks. The engine lock
 /// is never held across another lock here.
-fn run_budget_pass(
-    config: &ServerConfig,
+#[allow(clippy::too_many_arguments)]
+fn publish(
     view: &WindowedAggregator,
     engine: &Mutex<PublicationEngine>,
     base: &Mutex<BaseState>,
     shards: &[Arc<Mutex<Shard>>],
     stats: &ServerStats,
-    local: &mut BudgetPassState,
-) -> std::io::Result<Option<GrantFrame>> {
-    let (decisions, ledger) = {
-        let mut engine = engine.lock().unwrap();
-        let decisions = engine.decide(view, view.newest_window());
-        (decisions, engine.ledger_bytes())
-    };
-    stats
-        .budget_decisions
-        .fetch_add(decisions.new_decisions, Ordering::Relaxed);
-    stats
-        .budget_refusals
-        .fetch_add(decisions.new_refusals, Ordering::Relaxed);
-    // Unconditional on the base ring: a window settled down to 0 must
-    // overwrite any stale nonzero annotation.
-    if let Some(ring) = &mut base.lock().unwrap().ring {
-        for &(id, spent) in &decisions.settled {
-            ring.record_spend(id, spent);
+    board: Option<&GrantBoard>,
+    latest: &Mutex<Option<Publication>>,
+    mirrored: &mut BTreeMap<u64, u64>,
+) {
+    let pass = engine
+        .lock()
+        .unwrap()
+        .publish(Some(view), view.newest_window());
+    if !pass.settled.is_empty() {
+        // Unconditional on the base ring: a window settled down to 0
+        // must overwrite any stale nonzero annotation.
+        if let Some(ring) = &mut base.lock().unwrap().ring {
+            for &(id, spent) in &pass.settled {
+                ring.record_spend(id, spent);
+            }
         }
     }
     let mut moved = Vec::new();
-    for &(id, spent) in &decisions.settled {
-        if local.mirrored.insert(id, spent) != Some(spent) {
+    for &(id, spent) in &pass.settled {
+        if mirrored.insert(id, spent) != Some(spent) {
             moved.push((id, spent));
         }
     }
-    local.mirrored.retain(|&id, _| id >= view.oldest_window());
+    mirrored.retain(|&id, _| id >= view.oldest_window());
     if !moved.is_empty() {
         for shard in shards {
             if let Some(ring) = &mut shard.lock().unwrap().ring {
@@ -81,16 +70,28 @@ fn run_budget_pass(
             }
         }
     }
-    if ledger != local.persisted {
-        write_blob_atomic(&storage::budget_path(&config.data_dir), &ledger)?;
-        local.persisted = ledger;
+    // A ledger that could not be persisted released no grant: no client
+    // ever randomizes against a grant a restart could re-decide.
+    if pass.persisted.is_err() {
+        stats.bump(&stats.io_errors);
     }
-    Ok(decisions.grant)
+    if let Some(grant) = pass.publication.grant {
+        stats.announce(board, grant);
+    }
+    *latest.lock().unwrap() = Some(pass.publication);
+    stats
+        .budget_decisions
+        .fetch_add(pass.new_decisions, Ordering::Release);
+    stats
+        .budget_refusals
+        .fetch_add(pass.new_refusals, Ordering::Release);
+    stats.publications.fetch_add(1, Ordering::Release);
 }
 
 /// The maintenance thread: publishes the merged sliding-window view
-/// every `publish_every`, runs the per-window budget decisions, and
-/// runs size-triggered online WAL compaction.
+/// every `publish_every` (budget decisions included), keeps the
+/// group-commit time bound, and runs size-triggered online WAL
+/// compaction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn maintenance_loop(
     config: ServerConfig,
@@ -98,15 +99,14 @@ pub(crate) fn maintenance_loop(
     shards: Vec<Arc<Mutex<Shard>>>,
     stats: Arc<ServerStats>,
     stop: Arc<AtomicBool>,
-    latest: Arc<Mutex<Option<StreamPublication>>>,
-    engine: Option<Arc<Mutex<PublicationEngine>>>,
+    latest: Arc<Mutex<Option<Publication>>>,
+    engine: Arc<Mutex<PublicationEngine>>,
     board: Option<Arc<GrantBoard>>,
 ) {
-    let mut budget_pass = BudgetPassState::default();
+    let mut mirrored = BTreeMap::new();
     let publish_every = config.stream.as_ref().map(|s| s.publish_every);
     let group_commit = matches!(config.sync_policy, SyncPolicy::GroupCommit { .. });
     let mut last_publish = Instant::now();
-    let mut seq = 0u64;
     let mut next_compact_attempt = Instant::now();
     while !stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(20));
@@ -124,53 +124,16 @@ pub(crate) fn maintenance_loop(
             if last_publish.elapsed() >= every {
                 last_publish = Instant::now();
                 if let Some(view) = merged_ring(&base, &shards) {
-                    // Budget decisions run against the same view the
-                    // publication describes, so the published accounting
-                    // is never ahead of or behind the window list.
-                    let budget_pub = engine.as_ref().map(|engine| {
-                        match run_budget_pass(
-                            &config,
-                            &view,
-                            engine,
-                            &base,
-                            &shards,
-                            &stats,
-                            &mut budget_pass,
-                        ) {
-                            // The grant is broadcast only after the
-                            // decision behind it is persisted (see
-                            // run_budget_pass): no client ever
-                            // randomizes against a grant a restart
-                            // could re-decide.
-                            Ok(Some(grant)) => {
-                                if let Some(board) = &board {
-                                    if board.current() != Some(grant) {
-                                        stats.bump(&stats.grants_published);
-                                    }
-                                    board.announce(grant);
-                                }
-                            }
-                            Ok(None) => {}
-                            Err(_) => stats.bump(&stats.io_errors),
-                        }
-                        engine.lock().unwrap().summary()
-                    });
-                    seq += 1;
-                    let publication = StreamPublication {
-                        seq,
-                        newest_window: view.newest_window(),
-                        oldest_window: view.oldest_window(),
-                        windows: view
-                            .windows()
-                            .iter()
-                            .map(|(id, c)| (*id, c.num_reports))
-                            .collect(),
-                        merged_reports: view.merged().num_reports,
-                        late_reports: view.late(),
-                        budget: budget_pub,
-                    };
-                    *latest.lock().unwrap() = Some(publication);
-                    stats.bump(&stats.publications);
+                    publish(
+                        &view,
+                        &engine,
+                        &base,
+                        &shards,
+                        &stats,
+                        board.as_deref(),
+                        &latest,
+                        &mut mirrored,
+                    );
                 }
             }
         }
@@ -179,7 +142,7 @@ pub(crate) fn maintenance_loop(
                 .iter()
                 .any(|s| s.lock().unwrap().wal.offset() >= config.wal_max_bytes);
             if over_limit {
-                match compact_online(&config, &base, &shards, engine.as_deref()) {
+                match compact_online(&config, &base, &shards, &engine) {
                     Ok(()) => stats.bump(&stats.compactions),
                     // A failing compaction (e.g. disk full) pauses every
                     // shard for its duration; back off instead of
@@ -225,7 +188,7 @@ fn compact_online(
     config: &ServerConfig,
     base: &Mutex<BaseState>,
     shards: &[Arc<Mutex<Shard>>],
-    engine: Option<&Mutex<PublicationEngine>>,
+    engine: &Mutex<PublicationEngine>,
 ) -> std::io::Result<()> {
     let mut base_guard = base.lock().unwrap();
     let mut guards: Vec<_> = shards.iter().map(|s| s.lock().unwrap()).collect();
@@ -251,10 +214,10 @@ fn compact_online(
         // (which never carry spend annotations), and the compacted ring
         // file is what recovery seeds a fresh accountant from when the
         // BUDGET ledger is absent or superseded.
-        if let Some(engine) = engine {
+        if let Some(acct) = engine.lock().unwrap().accountant() {
             // Unconditional: a window settled to 0 must overwrite any
             // stale nonzero annotation merged in from the old base ring.
-            for d in engine.lock().unwrap().accountant().decisions() {
+            for d in acct.decisions() {
                 ring.record_spend(d.window, d.spent_nano);
             }
         }

@@ -39,14 +39,15 @@
 //!   next generation's base, fresh logs are started, the manifest flip
 //!   commits, and the old generation is deleted; WAL disk usage between
 //!   restarts is therefore bounded instead of unbounded.
-//! * **Budget accounting** (optional, [`StreamServerConfig::budget`]):
-//!   the maintenance thread runs the shared
-//!   [`trajshare_aggregate::PublicationEngine`] over the merged shard
-//!   rings — every window gets an ε grant under the configured
-//!   allocation policy, over-claiming windows are refused (excluded from
-//!   [`ServerHandle::estimate_window_model`]), and the ledger is
-//!   persisted on every decision so *"Σ published spend over any `w`
-//!   consecutive windows ≤ ε"* holds across kill/restart.
+//! * **Publication and budget accounting**: the maintenance thread runs
+//!   the shared [`trajshare_aggregate::PublicationEngine`] pass over the
+//!   merged shard rings, with the newest window as its watermark. With
+//!   [`StreamServerConfig::budget`] every window gets an ε grant under
+//!   the configured allocation policy, over-claiming windows are refused
+//!   (excluded from [`ServerHandle::estimate_window_model`]), and the
+//!   pass persists the `BUDGET` ledger whenever it moves, so *"Σ
+//!   published spend over any `w` consecutive windows ≤ ε"* holds across
+//!   kill/restart.
 //!
 //! Module map: this file keeps configuration, stats, startup
 //! ([`IngestServer::start`]) and the [`ServerHandle`]; the connection
@@ -80,12 +81,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use trajshare_aggregate::grant::wake_acceptor;
 use trajshare_aggregate::snapshot::crc32;
-pub use trajshare_aggregate::BudgetPublication;
 use trajshare_aggregate::{
     AggregateCounts, Aggregator, EstimatorBackend, GrantBoard, GrantFrame, GrantRecord,
     MobilityModel, PublicationEngine, ReportBatch, StreamingEstimator, WindowBudgetAccountant,
     WindowBudgetConfig, WindowConfig, WindowedAggregator,
 };
+pub use trajshare_aggregate::{BudgetPublication, Publication};
 use trajshare_core::RegionGraph;
 
 /// Streaming (sliding-window) options for a server instance.
@@ -276,6 +277,10 @@ pub struct ServerStats {
     /// Connections dropped by I/O errors (socket or WAL).
     pub io_errors: AtomicU64,
     /// Sliding-window publications emitted by the maintenance thread.
+    /// This and the two budget counters move only after the publication
+    /// that reflects them is stored (with `Release` ordering), so a
+    /// reader who sees one move finds that publication behind
+    /// [`ServerHandle::latest_publication`].
     pub publications: AtomicU64,
     /// Per-window budget allocations decided by the publication thread
     /// (streaming deployments with [`StreamServerConfig::budget`]).
@@ -304,6 +309,14 @@ pub struct ServerStats {
 impl ServerStats {
     pub(crate) fn bump(&self, field: &AtomicU64) {
         field.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Announces `grant` on the node's board (when it runs a grant
+    /// session) and counts it in `grants_published` when it was new.
+    pub(crate) fn announce(&self, board: Option<&GrantBoard>, grant: GrantFrame) {
+        if board.is_some_and(|board| board.announce(grant)) {
+            self.bump(&self.grants_published);
+        }
     }
 }
 
@@ -425,33 +438,13 @@ impl Shard {
 
 /// The recovered-and-compacted state every live total builds on. `gen`
 /// moves when the maintenance thread compacts online; lock order is
-/// always base → shards (in index order) → budget engine for any
-/// multi-lock path (only compaction nests all three; the decision pass
-/// holds the engine lock alone).
+/// always base → shards (in index order) → publication engine for any
+/// multi-lock path (only compaction nests all three; the publication
+/// pass holds the engine lock alone).
 pub(crate) struct BaseState {
     pub(crate) counts: AggregateCounts,
     pub(crate) ring: Option<WindowedAggregator>,
     pub(crate) gen: u64,
-}
-
-/// One sliding-window publication (what `ingestd` prints per tick).
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamPublication {
-    /// Publication sequence number (1-based, monotonic).
-    pub seq: u64,
-    /// Newest window id the merged ring has advanced to.
-    pub newest_window: u64,
-    /// Oldest window id still live.
-    pub oldest_window: u64,
-    /// `(window id, reports)` for every live window, ascending.
-    pub windows: Vec<(u64, u64)>,
-    /// Reports in the merged current-window view.
-    pub merged_reports: u64,
-    /// Reports dropped as older than the ring span.
-    pub late_reports: u64,
-    /// Budget accounting for this publication (deployments with
-    /// [`StreamServerConfig::budget`] only).
-    pub budget: Option<BudgetPublication>,
 }
 
 /// The running server: owns its threads; query or stop it through this.
@@ -461,13 +454,13 @@ pub struct ServerHandle {
     stats: Arc<ServerStats>,
     base: Arc<Mutex<BaseState>>,
     shards: Vec<Arc<Mutex<Shard>>>,
-    latest_publication: Arc<Mutex<Option<StreamPublication>>>,
+    latest_publication: Arc<Mutex<Option<Publication>>>,
     /// Warm-started window-model estimator on the configured backend
     /// (streaming servers only).
     estimator: Option<Mutex<StreamingEstimator>>,
-    /// The privacy-budget engine: ledger + accept/refuse books
-    /// (streaming servers with a budget config only).
-    engine: Option<Arc<Mutex<PublicationEngine>>>,
+    /// The publication engine: the publication counter and, with a
+    /// budget config, the ledger and its accept/refuse books.
+    engine: Arc<Mutex<PublicationEngine>>,
     /// The TSGB grant board ([`StreamServerConfig::grants`] only).
     board: Option<Arc<GrantBoard>>,
     /// Per-stage hot-path profile ([`ServerConfig::profile`] only).
@@ -509,10 +502,10 @@ impl IngestServer {
         let Recovery {
             counts: base_counts,
             ring: base_ring,
-            budget: stored_budget,
             gen,
             replayed_reports,
             torn_tails,
+            ..
         } = storage::recover_locked(&config.data_dir, &config.region_tiles, window)?;
         let recovery = RecoverySummary {
             generation: gen,
@@ -524,6 +517,25 @@ impl IngestServer {
                 .map(|r| r.windows().len() as u64)
                 .unwrap_or(0),
         };
+
+        // The node's ledger lives in `BUDGET`; the restored ring (already
+        // stamped with the ledger's spends) can reseed it when the
+        // contract changed.
+        let engine = match config.stream.as_ref().and_then(|s| Some((s, s.budget?))) {
+            Some((s, budget)) => PublicationEngine::budgeted(
+                budget,
+                s.graph.clone(),
+                s.grants,
+                Some(storage::budget_path(&config.data_dir)),
+                Some(
+                    &base_ring
+                        .as_ref()
+                        .map_or_else(Vec::new, |r| r.window_spends()),
+                ),
+            )?,
+            None => PublicationEngine::default(),
+        };
+        let engine = Arc::new(Mutex::new(engine));
 
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
@@ -605,18 +617,6 @@ impl IngestServer {
             }));
         }
 
-        let engine = config.stream.as_ref().and_then(|s| {
-            let budget = s.budget?;
-            let ring_spends = base_ring.as_ref().map(|r| r.window_spends());
-            Some(Arc::new(Mutex::new(PublicationEngine::restore(
-                budget,
-                s.graph.clone(),
-                s.grants,
-                stored_budget,
-                &ring_spends.unwrap_or_default(),
-            ))))
-        });
-
         let base = Arc::new(Mutex::new(BaseState {
             counts: base_counts,
             ring: base_ring,
@@ -659,7 +659,7 @@ impl IngestServer {
             let stop = Arc::clone(&stop);
             let latest = Arc::clone(&latest_publication);
             let cfg = config.clone();
-            let engine = engine.clone();
+            let engine = Arc::clone(&engine);
             let board = board.clone();
             threads.push(std::thread::spawn(move || {
                 maintenance_loop(cfg, base, shards, stats, stop, latest, engine, board)
@@ -745,7 +745,7 @@ impl ServerHandle {
     }
 
     /// The most recent sliding-window publication, if any.
-    pub fn latest_publication(&self) -> Option<StreamPublication> {
+    pub fn latest_publication(&self) -> Option<Publication> {
         self.latest_publication.lock().unwrap().clone()
     }
 
@@ -753,40 +753,35 @@ impl ServerHandle {
     /// configured [`StreamServerConfig::backend`], warm-starting from the
     /// previous call's posterior — the embedded-deployment hook that
     /// makes the backend flag flip the whole service-side estimation
-    /// chain. With a budget configured, only windows the accountant has
-    /// *accepted* contribute — refused, not-yet-decided, and
-    /// unaccountable gap windows are excluded, so publication only ever
-    /// uses data whose spend the ledger accounts. `None` when the
+    /// chain. The windows come through the engine's one filter
+    /// ([`PublicationEngine::published_counts`], with the newest window
+    /// as watermark): with a budget configured, only windows the
+    /// accountant has *accepted* contribute — refused, not-yet-decided,
+    /// and unaccountable gap windows are excluded, so publication only
+    /// ever uses data whose spend the ledger accounts. `None` when the
     /// server is not streaming, `graph` does not match the server's
     /// region universe (a graph-less `ingestd` has no graph to offer —
-    /// see `--region-graph`), or the budget-filtered view is empty — a
-    /// tick over zero counts would both publish a meaningless model and
-    /// poison the warm-start posterior for the next real tick.
+    /// see `--region-graph`), or the filtered view is empty.
     pub fn estimate_window_model(&self, graph: &RegionGraph) -> Option<MobilityModel> {
         let estimator = self.estimator.as_ref()?;
         let view = self.windowed_counts()?;
         if view.merged().num_regions != graph.num_regions() {
             return None;
         }
-        // The engine lock is released before the solve: a decision pass
-        // must never wait on an IBU run.
-        let published = self.engine.as_ref().map(|engine| {
-            let engine = engine.lock().unwrap();
-            engine.published_counts(&view, view.newest_window())
-        });
-        let counts = published.as_ref().unwrap_or(view.merged());
-        if counts.num_reports == 0 {
-            return None;
-        }
-        Some(estimator.lock().unwrap().tick(counts, graph))
+        // The engine lock is released before the solve: a publication
+        // pass must never wait on an IBU run.
+        let counts = self
+            .engine
+            .lock()
+            .unwrap()
+            .published_counts(&view, view.newest_window())?;
+        Some(estimator.lock().unwrap().tick(&counts, graph))
     }
 
     /// A snapshot of the privacy-budget ledger, when the server runs
     /// with [`StreamServerConfig::budget`].
     pub fn budget_ledger(&self) -> Option<WindowBudgetAccountant> {
-        self.engine
-            .as_ref()
-            .map(|engine| engine.lock().unwrap().accountant().clone())
+        self.engine.lock().unwrap().accountant().cloned()
     }
 
     /// The accountant's grant history — (window, epoch, granted ε′,
@@ -795,12 +790,10 @@ impl ServerHandle {
     /// [`trajshare_aggregate::GrantRecord`]); empty when no budget is
     /// configured.
     pub fn budget_grant_history(&self) -> Vec<GrantRecord> {
-        self.engine
-            .as_ref()
-            .map(|engine| {
-                let engine = engine.lock().unwrap();
-                engine.accountant().grant_history().copied().collect()
-            })
+        let engine = self.engine.lock().unwrap();
+        engine
+            .accountant()
+            .map(|acct| acct.grant_history().copied().collect())
             .unwrap_or_default()
     }
 
@@ -811,26 +804,10 @@ impl ServerHandle {
         self.board.as_ref().and_then(|b| b.current())
     }
 
-    /// Announces a grant on this node's board, pushing it to every
-    /// subscribed connection — the embedding hook a coordinator-driven
-    /// deployment uses when it relays grants by means other than the
-    /// `TSCL` export listener. No-op when the grant session is disabled.
-    pub fn announce_grant(&self, grant: GrantFrame) {
-        if let Some(board) = &self.board {
-            if board.current() != Some(grant) {
-                self.stats.bump(&self.stats.grants_published);
-            }
-            board.announce(grant);
-        }
-    }
-
     /// The live windows currently excluded from published estimates by
     /// the budget accountant (empty when no budget is configured).
     pub fn budget_refused_windows(&self) -> Vec<u64> {
-        self.engine
-            .as_ref()
-            .map(|engine| engine.lock().unwrap().refused_windows())
-            .unwrap_or_default()
+        self.engine.lock().unwrap().refused_windows()
     }
 
     /// The current file generation (bumps on online compaction).

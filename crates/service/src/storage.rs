@@ -57,11 +57,13 @@
 //!
 //! Deployments enforcing a streaming privacy budget additionally keep a
 //! generation-free `BUDGET` file: the
-//! [`trajshare_aggregate::WindowBudgetAccountant`] ledger, rewritten
-//! atomically on every allocation decision. Recovery restores it (and
-//! stamps its spends back onto the restored ring's per-window
-//! annotations); a corrupt ledger aborts recovery rather than risk
-//! over-granting past the `w`-window invariant.
+//! [`trajshare_aggregate::WindowBudgetAccountant`] ledger, which the
+//! publication pass ([`trajshare_aggregate::PublicationEngine`])
+//! rewrites atomically whenever a decision moves it. Recovery reads it
+//! back with [`trajshare_aggregate::read_ledger`] and stamps its spends
+//! onto the restored ring's per-window annotations; a corrupt ledger
+//! aborts recovery rather than risk over-granting past the `w`-window
+//! invariant.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -69,8 +71,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use trajshare_aggregate::snapshot::{crc32, read_snapshot_file, write_snapshot_file};
 use trajshare_aggregate::{
-    AggregateCounts, Aggregator, Report, ReportBatch, WindowBudgetAccountant, WindowConfig,
-    WindowedAggregator,
+    read_ledger, AggregateCounts, Aggregator, Report, ReportBatch, WindowBudgetAccountant,
+    WindowConfig, WindowedAggregator,
 };
 use trajshare_core::blob::{open, write_blob_atomic, BlobError, Sealer};
 
@@ -685,14 +687,7 @@ fn reconstruct(
         }
     }
 
-    let budget = match std::fs::read(budget_path(dir)) {
-        Ok(bytes) => Some(
-            WindowBudgetAccountant::decode(&bytes)
-                .map_err(|e| std::io::Error::other(format!("BUDGET ledger: {e}")))?,
-        ),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(e),
-    };
+    let budget = read_ledger(&budget_path(dir))?;
 
     let mut replayed_reports = 0u64;
     let mut torn_tails = 0u64;

@@ -291,7 +291,7 @@ fn windowed_server_publishes_and_recovers_the_ring() {
         "no publication with the full merged view arrived"
     );
     let p = server.latest_publication().unwrap();
-    assert_eq!(p.newest_window, 3);
+    assert_eq!(p.watermark, 3);
     assert_eq!(p.windows.len(), expected.windows().len());
 
     // Crash (no final snapshot); the restarted, re-sharded server must
@@ -332,6 +332,7 @@ fn online_compaction_bounds_wal_size_and_keeps_counters_exact() {
         Duration::from_millis(100),
     ));
     let server = IngestServer::start(cfg.clone()).unwrap();
+    let start_gen = server.recovery().generation;
     let reports: Vec<Report> = (0..3_000)
         .map(|i| toy_report_at(i, (i as u64 / 1_500) * 60))
         .collect();
@@ -344,6 +345,25 @@ fn online_compaction_bounds_wal_size_and_keeps_counters_exact() {
             server.stats().compactions.load(Ordering::Relaxed) >= 1
         }),
         "no online compaction despite a tiny WAL budget"
+    );
+    // Quiesce before listing the directory: the generation moves before
+    // a compaction sweeps the old files and counts itself, so wait until
+    // every generation bump is a counted (swept) compaction and no live
+    // WAL is over the limit (no further compaction is due).
+    let wal_over_limit = || {
+        std::fs::read_dir(&dir).unwrap().flatten().any(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with(&format!("shard-{}-", server.generation()))
+                && name.ends_with(".log")
+                && e.metadata().is_ok_and(|m| m.len() >= cfg.wal_max_bytes)
+        })
+    };
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            server.generation() == start_gen + server.stats().compactions.load(Ordering::Relaxed)
+                && !wal_over_limit()
+        }),
+        "online compaction never settled"
     );
     let gen_after = server.generation();
     assert!(gen_after > 1, "generation must bump on compaction");
@@ -719,6 +739,71 @@ fn over_budget_windows_are_refused_and_excluded_from_estimates() {
     assert!(b.newest_refused);
     assert_eq!(b.refused_windows, 2);
     server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn counters_never_run_ahead_of_the_publication_they_describe() {
+    let (mut cfg, dir) = config("counter-order");
+    // A ring deep enough that no refused window slides out mid-test, so
+    // the live refused set only grows.
+    let window = WindowConfig {
+        window_len: 60,
+        num_windows: 4,
+    };
+    let mut stream_cfg = StreamServerConfig::new(window, Duration::from_millis(1));
+    // 0.5ε grants against 0.75ε cohorts: every window is refused.
+    stream_cfg.budget = Some(WindowBudgetConfig::new(
+        eps_to_nano(1.0),
+        2,
+        AllocationPolicy::Uniform,
+    ));
+    cfg.stream = Some(stream_cfg);
+    let server = IngestServer::start(cfg).unwrap();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // A reader that sees a counter move must find the publication
+        // behind it: never an older record, never none at all.
+        let reader = scope.spawn(|| {
+            let mut checked = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let stats = server.stats();
+                let refusals = stats.budget_refusals.load(Ordering::Acquire);
+                let publications = stats.publications.load(Ordering::Acquire);
+                let latest = server.latest_publication();
+                if publications == 0 && refusals == 0 {
+                    continue;
+                }
+                let p = latest.expect("a counter moved before its publication was stored");
+                assert!(p.seq >= publications, "seq {} < {publications}", p.seq);
+                assert!(
+                    p.refused_windows.len() as u64 >= refusals,
+                    "publication {} shows {:?} after {refusals} refusals",
+                    p.seq,
+                    p.refused_windows
+                );
+                checked += 1;
+            }
+            checked
+        });
+        for w in 0..3u64 {
+            let reports: Vec<Report> = (0..200).map(|i| toy_report_eps(i, w * 60, 0.75)).collect();
+            assert_eq!(stream_reports(server.addr(), &reports, 2).unwrap(), 200);
+            assert!(
+                wait_until(Duration::from_secs(5), || {
+                    server.stats().budget_refusals.load(Ordering::Relaxed) > w
+                }),
+                "window {w} never refused"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(
+            reader.join().unwrap() > 0,
+            "the reader never saw a counter move"
+        );
+    });
+    assert_eq!(server.budget_refused_windows(), vec![0, 1, 2]);
+    server.crash();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

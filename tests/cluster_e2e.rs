@@ -135,7 +135,7 @@ fn routed_two_worker_cluster_merges_bit_identical_to_single_node() {
     // Bit-identical to the single node: totals and the full window ring.
     let single_counts = single.counts();
     let single_ring = single.windowed_counts().unwrap();
-    assert_eq!(view.watermark, single_ring.newest_window());
+    assert_eq!(view.publication.watermark, single_ring.newest_window());
     assert_eq!(view.counts_crc32, snapshot_fingerprint(&single_counts));
     assert_eq!(
         view.ring_crc32.unwrap(),
