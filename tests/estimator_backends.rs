@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajshare_aggregate::{
     aggregate_and_synthesize_matching_with, collect_reports, Aggregator, CsrPattern, EmChannel,
-    EstimatorBackend, FrequencyEstimator, IbuSolver, MobilityModel,
+    EstimatorBackend, FrequencyEstimator, IbuSolver, MobilityModel, StreamingEstimator,
 };
 use trajshare_core::{MechanismConfig, NGramMechanism, RegionId};
 use trajshare_datagen::{
@@ -170,5 +170,62 @@ fn backend_choice_flips_estimation_cost_not_correctness() {
     assert!(
         sparse <= dense * 2,
         "sparse backend pathologically slow: {sparse:?} vs dense {dense:?}"
+    );
+}
+
+/// FNV-1a over the IEEE bit patterns of every estimate a model carries,
+/// in field order — equal hashes mean bit-identical models.
+fn model_bits_hash(m: &MobilityModel) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for v in [&m.start, &m.end, &m.occupancy, &m.transition, &m.length] {
+        for x in v {
+            for b in x.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn dense_and_blocked_estimates_are_pinned_bit_for_bit() {
+    // Golden hashes of the `Dense` and `Blocked` estimates on a real
+    // universe (|R| = 77). A kernel rewrite that reorders one floating
+    // add changes them; the constants are never re-recorded to follow
+    // a kernel change.
+    let (dataset, real) = world();
+    let mech = NGramMechanism::build(&dataset, &MechanismConfig::default().with_epsilon(4.0));
+    let graph = mech.graph();
+    assert_eq!(graph.num_regions(), 77);
+    let mut agg = Aggregator::new(mech.regions());
+    agg.ingest_batch(&collect_reports(&mech, &real, 37));
+    let fit = |backend| {
+        let estimator = FrequencyEstimator::Ibu { iters: 30, backend };
+        model_bits_hash(&MobilityModel::estimate_with(
+            agg.counts(),
+            graph,
+            estimator,
+        ))
+    };
+    let dense = fit(EstimatorBackend::Dense);
+    let blocked = fit(EstimatorBackend::Blocked);
+
+    let mut stream = StreamingEstimator::with_backend(30, 6, EstimatorBackend::Dense);
+    let cold = model_bits_hash(&stream.tick(agg.counts(), graph));
+    assert!(stream.is_warm());
+    agg.ingest_batch(&collect_reports(&mech, &real, 43));
+    let warm = model_bits_hash(&stream.tick(agg.counts(), graph));
+
+    let got = [dense, blocked, cold, warm];
+    let want = [
+        0x60d2_52fe_9ae9_90d8,
+        0x1ff6_e73d_bd68_bab5,
+        0x60d2_52fe_9ae9_90d8,
+        0x81a8_2453_9543_5292,
+    ];
+    assert_eq!(
+        got, want,
+        "estimates moved: [dense, blocked, stream cold, stream warm] = {got:#018x?}"
     );
 }
