@@ -1005,6 +1005,44 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "bootstrap")]
+    fn an_adaptive_bootstrap_grants_the_uniform_share() {
+        // Adaptive, ε = 4 over w = 4, grant session on, empty ring: the
+        // first windows have nothing to compare against. An honest cohort
+        // follows every grant; each window of the horizon must still be
+        // granted something.
+        let config = WindowBudgetConfig::new(eps_to_nano(4.0), 4, AllocationPolicy::adaptive());
+        let window = WindowConfig {
+            window_len: WINDOW_LEN,
+            num_windows: 4,
+        };
+        let mut ring = WindowedAggregator::new(vec![0; REGIONS], window);
+        let mut engine = PublicationEngine::budgeted(config, None, true, None, None).unwrap();
+        let mut seq = 0;
+        let mut grants = Vec::new();
+        for _ in 0..config.horizon {
+            let pass = engine.publish(Some(&ring), ring.newest_window());
+            let grant = pass.publication.grant.expect("the grant session is on");
+            let eps = crate::budget::nano_to_eps(grant.granted_nano);
+            if eps > 0.0 {
+                ingest(&mut ring, &mut seq, grant.window, 20, eps);
+            }
+            grants.push((grant.window, grant.granted_nano));
+        }
+        assert!(
+            grants[0].1 <= config.uniform_share(),
+            "the bootstrap window spent past the uniform share: {grants:?}"
+        );
+        assert!(
+            grants
+                .iter()
+                .enumerate()
+                .all(|(w, &(id, g))| id == w as u64 && g > 0),
+            "a window inside the horizon was granted nothing: {grants:?}"
+        );
+    }
+
+    #[test]
     fn a_changed_contract_needs_a_ring_to_reseed_the_ledger() {
         let ledger = temp_ledger("contract");
         let open = |contract, ring_spends| {
