@@ -22,7 +22,7 @@
 //! 3. [`estimate`] — unbiased frequency estimation by inverting the
 //!    Exponential-Mechanism channel ([`EmChannel`]), IBU maximum
 //!    likelihood on pluggable kernel backends ([`EstimatorBackend`]:
-//!    serial dense reference, blocked rayon-parallel, or the `W₂`-aware
+//!    serial tiled dense kernel, the same kernel row-parallel, or the `W₂`-aware
 //!    sparse model over [`linalg`]'s CSR kernels), plus [`norm_sub`]
 //!    consistency post-processing,
 //! 4. [`markov`] — the debiased [`MobilityModel`] (start/end/occupancy

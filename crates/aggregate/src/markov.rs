@@ -24,7 +24,7 @@ pub enum FrequencyEstimator {
         /// iteration *costs* is the backend's business.
         iters: usize,
         /// Which kernel implementation runs the iterations: the serial
-        /// `Dense` reference, the parallel `Blocked` kernels, or the
+        /// `Dense` kernel, the same kernel row-parallel (`Blocked`), or the
         /// `W₂`-aware `SparseW2` model (`O(|W₂|·|R|)` per joint
         /// iteration, exact zeros on infeasible bigrams).
         backend: EstimatorBackend,
@@ -44,10 +44,11 @@ impl FrequencyEstimator {
 impl Default for FrequencyEstimator {
     fn default() -> Self {
         // Sharp enough to recover cluster-level structure at ε′ ≈ 1 on
-        // region universes in the low hundreds; ~|R|³·iters work for the
-        // joint estimate (a few seconds at |R| ≈ 150). The serial dense
-        // backend stays the default so historical results are bit-stable;
-        // large universes should flip to `Blocked` or `SparseW2`.
+        // region universes in the low hundreds; 4·|R|³·iters multiply-adds
+        // for the joint estimate (~1.5 s on one core at |R| = 144). The
+        // dense backend stays the default so historical results are
+        // bit-stable; large universes should flip to `Blocked` or
+        // `SparseW2`.
         FrequencyEstimator::ibu(EstimatorBackend::Dense)
     }
 }
