@@ -100,7 +100,9 @@ pub fn l1_divergence(a: &[f64], b: &[f64]) -> f64 {
 /// underlying stream has not moved at all. Only the excess above that
 /// floor is returned (clamped to `[0, 1]`); a cohort too small to
 /// distinguish anything reads as 0 — *not significant* — and an empty or
-/// mismatched side reads as 1 (nothing to compare against ⇒ buy data).
+/// mismatched side reads as 1, a full shift. (A window with no
+/// predecessor to compare against has no signal at all; see
+/// [`WindowBudgetAccountant::allocate`] for what that grants.)
 /// The channel inversion inflates variance beyond the multinomial floor;
 /// the policy's `threshold` deadband absorbs that residue.
 pub fn significance_divergence(prev: &[f64], cur: &[f64], n_prev: u64, n_cur: u64) -> f64 {
@@ -476,8 +478,12 @@ impl WindowBudgetAccountant {
     }
 
     /// Decides the grant for `window` given a divergence signal in
-    /// `[0, 1]` (use `1.0` when there is nothing to compare against —
-    /// a cold start buys data). Re-asking for an already-decided window
+    /// `[0, 1]`, or `None` when there is nothing to compare against.
+    /// **An unknown signal (`None`, or a non-finite value) grants the
+    /// uniform share, `uniform_share().min(available)`, under either
+    /// policy**: a cold start or a window after a gap neither spends the
+    /// whole horizon on one window nor starves the windows after it.
+    /// Re-asking for an already-decided window
     /// returns the recorded grant unchanged (idempotent, so publication
     /// retries cannot double-spend); asking for a window *older* than
     /// the ledger's horizon grants 0.
@@ -486,7 +492,7 @@ impl WindowBudgetAccountant {
     /// that observe a smaller actual spend settle it down with
     /// [`WindowBudgetAccountant::settle`]. Recording the full grant
     /// first keeps the invariant safe even if the caller never settles.
-    pub fn allocate(&mut self, window: u64, divergence: f64) -> WindowGrant {
+    pub fn allocate(&mut self, window: u64, divergence: impl Into<Option<f64>>) -> WindowGrant {
         if let Some(decided) = self.decided {
             if window <= decided {
                 let granted = self.decision(window).map_or(0, |d| d.granted_nano);
@@ -506,15 +512,12 @@ impl WindowBudgetAccountant {
         }
         let available = self.available_nano(window);
         let share = self.config.uniform_share();
-        let granted = match self.config.policy {
-            AllocationPolicy::Uniform => share.min(available),
-            AllocationPolicy::Adaptive { gain, threshold } => {
+        let signal = divergence.into().filter(|d| d.is_finite());
+        let granted = match (self.config.policy, signal) {
+            (AllocationPolicy::Uniform, _) | (_, None) => share.min(available),
+            (AllocationPolicy::Adaptive { gain, threshold }, Some(divergence)) => {
                 let floor = self.config.probe_floor().min(available);
-                let d = if divergence.is_finite() {
-                    ((divergence - threshold).max(0.0) * gain).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
+                let d = ((divergence - threshold).max(0.0) * gain).clamp(0.0, 1.0);
                 let extra = ((available - floor) as f64 * d).round() as u64;
                 floor + extra.min(available - floor)
             }

@@ -398,7 +398,7 @@ impl Books {
         } else if self.accountant.decided().is_none_or(|d| next > d) {
             let divergence = match windows.as_slice() {
                 [.., prev, newest] => self.shift(Some(prev), newest),
-                _ => 1.0,
+                _ => None,
             };
             out.new_decisions += 1;
             Some(self.accountant.allocate(next, divergence).into())
@@ -433,14 +433,18 @@ impl Books {
     }
 
     /// The allocator's change signal for `cur`: divergence from the
-    /// previous live window when the two are consecutive, a full shift
-    /// otherwise — the policy buys data when it has nothing to compare.
-    fn shift(&self, prev: Option<&(u64, &AggregateCounts)>, cur: &(u64, &AggregateCounts)) -> f64 {
+    /// previous live window when the two are consecutive, unknown
+    /// (`None`) otherwise.
+    fn shift(
+        &self,
+        prev: Option<&(u64, &AggregateCounts)>,
+        cur: &(u64, &AggregateCounts),
+    ) -> Option<f64> {
         match prev {
             Some(&(id, counts)) if id + 1 == cur.0 => {
-                window_divergence(self.graph.as_deref(), counts, cur.1)
+                Some(window_divergence(self.graph.as_deref(), counts, cur.1))
             }
-            _ => 1.0,
+            _ => None,
         }
     }
 
@@ -1005,7 +1009,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bootstrap")]
     fn an_adaptive_bootstrap_grants_the_uniform_share() {
         // Adaptive, ε = 4 over w = 4, grant session on, empty ring: the
         // first windows have nothing to compare against. An honest cohort
