@@ -474,7 +474,7 @@ impl Books {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::{eps_to_nano, AllocationPolicy};
+    use crate::budget::{eps_to_nano, nano_to_eps, AllocationPolicy};
     use crate::report::Report;
     use crate::stream::WindowConfig;
 
@@ -1026,7 +1026,7 @@ mod tests {
         for _ in 0..config.horizon {
             let pass = engine.publish(Some(&ring), ring.newest_window());
             let grant = pass.publication.grant.expect("the grant session is on");
-            let eps = crate::budget::nano_to_eps(grant.granted_nano);
+            let eps = nano_to_eps(grant.granted_nano);
             if eps > 0.0 {
                 ingest(&mut ring, &mut seq, grant.window, 20, eps);
             }

@@ -234,7 +234,7 @@ pub enum EstimatorBackend {
     /// thread. Bit-for-bit the historical results — the baseline every
     /// other backend is validated against. `4·|R|³` multiply-adds per
     /// joint iteration: a 600-iteration cold solve at |R| = 144 takes
-    /// ~1.5 s on one core (~2.3 ms per iteration).
+    /// ~2 s (1.4–2.2 s) on one core of a shared 2-vCPU Xeon, SSE2 build.
     #[default]
     Dense,
     /// The same product-channel model on the same kernel, run over row

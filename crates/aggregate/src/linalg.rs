@@ -220,13 +220,11 @@ fn matmul_rows(a: &[f64], b: &[f64], n: usize, first: usize, out: &mut [f64]) {
             for j0 in (0..full_cols).step_by(TILE_COLS) {
                 let mut acc = [[0.0f64; TILE_COLS]; TILE_ROWS];
                 for (k, brow) in b.chunks_exact(n).enumerate() {
-                    let bk: &[f64; TILE_COLS] = brow[j0..j0 + TILE_COLS]
-                        .try_into()
-                        .expect("a tile is TILE_COLS wide");
-                    for (acc_r, arow) in acc.iter_mut().zip(&arows) {
-                        let aik = arow[k];
-                        for (o, &bv) in acc_r.iter_mut().zip(bk) {
-                            *o += aik * bv;
+                    let bk = &brow[j0..j0 + TILE_COLS];
+                    for r in 0..TILE_ROWS {
+                        let aik = arows[r][k];
+                        for c in 0..TILE_COLS {
+                            acc[r][c] += aik * bk[c];
                         }
                     }
                 }

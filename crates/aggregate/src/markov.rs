@@ -45,7 +45,7 @@ impl Default for FrequencyEstimator {
     fn default() -> Self {
         // Sharp enough to recover cluster-level structure at ε′ ≈ 1 on
         // region universes in the low hundreds; 4·|R|³·iters multiply-adds
-        // for the joint estimate (~1.5 s on one core at |R| = 144). The
+        // for the joint estimate (~2 s at |R| = 144 on one Xeon core). The
         // dense backend stays the default so historical results are
         // bit-stable; large universes should flip to `Blocked` or
         // `SparseW2`.
