@@ -7,8 +7,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trajshare_aggregate::{
-    aggregate_and_synthesize_matching_with, collect_reports, Aggregator, CsrPattern, EmChannel,
-    EstimatorBackend, FrequencyEstimator, IbuSolver, MobilityModel, StreamingEstimator,
+    aggregate_and_synthesize_matching_with, collect_reports, AggregateCounts, Aggregator,
+    CsrPattern, EmChannel, EstimatorBackend, FrequencyEstimator, IbuSolver, MobilityModel,
+    StreamingEstimator,
 };
 use trajshare_core::{MechanismConfig, NGramMechanism, RegionId};
 use trajshare_datagen::{
@@ -173,27 +174,30 @@ fn backend_choice_flips_estimation_cost_not_correctness() {
     );
 }
 
-/// FNV-1a over the IEEE bit patterns of every estimate a model carries,
-/// in field order — equal hashes mean bit-identical models.
-fn model_bits_hash(m: &MobilityModel) -> u64 {
+/// FNV-1a over the IEEE bit patterns of `estimates`, in order — equal
+/// hashes mean bit-identical estimates.
+fn bits_hash(estimates: &[&[f64]]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for v in [&m.start, &m.end, &m.occupancy, &m.transition, &m.length] {
-        for x in v {
-            for b in x.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01B3);
-            }
+    for x in estimates.iter().copied().flatten() {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01B3);
         }
     }
     h
 }
 
+/// [`bits_hash`] of every estimate a model carries, in field order.
+fn model_bits_hash(m: &MobilityModel) -> u64 {
+    bits_hash(&[&m.start, &m.end, &m.occupancy, &m.transition, &m.length])
+}
+
 #[test]
 fn dense_and_blocked_estimates_are_pinned_bit_for_bit() {
-    // Golden hashes of the `Dense` and `Blocked` estimates on a real
-    // universe (|R| = 77). A kernel rewrite that reorders one floating
-    // add changes them; the constants are never re-recorded to follow
-    // a kernel change.
+    // Golden hashes of the `Dense` and `Blocked` estimates and of the raw
+    // `SparseW2` joint on a real universe (|R| = 77). A kernel rewrite
+    // that reorders one floating add changes them; the constants are
+    // never re-recorded to follow a kernel change.
     let (dataset, real) = world();
     let mech = NGramMechanism::build(&dataset, &MechanismConfig::default().with_epsilon(4.0));
     let graph = mech.graph();
@@ -211,21 +215,43 @@ fn dense_and_blocked_estimates_are_pinned_bit_for_bit() {
     let dense = fit(EstimatorBackend::Dense);
     let blocked = fit(EstimatorBackend::Blocked);
 
+    // The raw `SparseW2` joint, cold and then warm-started from the
+    // cold posterior on the grown counts.
+    let pattern = CsrPattern::from_graph(graph);
+    let mut sparse = IbuSolver::new(EstimatorBackend::SparseW2);
+    let sparse_joint =
+        |solver: &mut IbuSolver, counts: &AggregateCounts, iters: usize, init: Option<&[f64]>| {
+            let channel = EmChannel::unigram(graph, counts.mean_eps_prime());
+            solver.joint(&channel, &counts.transitions, iters, init, Some(&pattern))
+        };
+    let sparse_cold = sparse_joint(&mut sparse, agg.counts(), 30, None);
+
     let mut stream = StreamingEstimator::with_backend(30, 6, EstimatorBackend::Dense);
     let cold = model_bits_hash(&stream.tick(agg.counts(), graph));
     assert!(stream.is_warm());
     agg.ingest_batch(&collect_reports(&mech, &real, 43));
     let warm = model_bits_hash(&stream.tick(agg.counts(), graph));
+    let sparse_warm = sparse_joint(&mut sparse, agg.counts(), 6, Some(&sparse_cold));
 
-    let got = [dense, blocked, cold, warm];
+    let got = [
+        dense,
+        blocked,
+        cold,
+        warm,
+        bits_hash(&[&sparse_cold]),
+        bits_hash(&[&sparse_warm]),
+    ];
     let want = [
         0x60d2_52fe_9ae9_90d8,
         0x1ff6_e73d_bd68_bab5,
         0x60d2_52fe_9ae9_90d8,
         0x81a8_2453_9543_5292,
+        0x762b_6ce2_1c11_19d8,
+        0x59a6_4faf_1108_1fa6,
     ];
     assert_eq!(
         got, want,
-        "estimates moved: [dense, blocked, stream cold, stream warm] = {got:#018x?}"
+        "estimates moved: [dense, blocked, stream cold, stream warm, \
+         sparse-w2 joint cold, sparse-w2 joint warm] = {got:#018x?}"
     );
 }
