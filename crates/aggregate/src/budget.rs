@@ -46,7 +46,7 @@
 //! survives kill/restart. A node also mirrors settled spends onto its
 //! window ring ([`crate::stream::WindowedAggregator::record_spend`]).
 
-use crate::estimate::{ibu_frequencies, EmChannel};
+use crate::estimate::{EmChannel, EstimatorBackend, IbuSolver};
 use crate::ingest::AggregateCounts;
 use std::collections::VecDeque;
 use trajshare_core::blob::{open, BlobError, Sealer};
@@ -169,7 +169,12 @@ pub fn window_divergence(
             return None;
         }
         let channel = EmChannel::unigram(graph, mean_eps);
-        Some(ibu_frequencies(&channel, &counts.occupancy, SIGNAL_ITERS))
+        Some(IbuSolver::new(EstimatorBackend::Dense).frequencies(
+            &channel,
+            &counts.occupancy,
+            SIGNAL_ITERS,
+            None,
+        ))
     };
     if let Some(graph) = graph {
         if let (Some(p), Some(c)) = (debias(graph, prev), debias(graph, cur)) {

@@ -2,13 +2,12 @@
 //!
 //! Everything the IBU estimators do per iteration is one of four shapes,
 //! and this module owns all of them so [`crate::estimate`] can stay pure
-//! orchestration:
+//! orchestration. Every kernel runs on the calling thread:
 //!
-//! * the dense register-tiled matmul (`matmul`, serial, for `Dense`;
-//!   `par_matmul`, the same kernel over row blocks, for `Blocked`), with
-//!   per-element accumulation in ascending-`k` order so both backends
-//!   reproduce the naive triple loop **bit for bit** (tiles and threads
-//!   partition output elements; they never re-associate a sum),
+//! * the dense register-tiled matmul (`matmul`, for `Dense`), with
+//!   per-element accumulation in ascending-`k` order so it reproduces
+//!   the naive triple loop **bit for bit** (tiles partition output
+//!   elements; they never re-associate a sum),
 //! * sparse-times-dense products over an explicit sparsity pattern
 //!   (`spmm`, `gather_nt`) — `O(nnz·n)` instead of `O(n³)`,
 //! * pattern-restricted products (`restricted_nt`) that evaluate
@@ -20,10 +19,9 @@
 //! [`CsrPattern`] is the compressed-sparse-row face of
 //! `RegionGraph::successor_csr` (LDPTrace's observation: real `W₂` sets
 //! are sparse, so the estimator should never touch an infeasible cell),
-//! but it can be built from any adjacency — benches construct synthetic
-//! patterns at `|R|` in the thousands without building a dataset.
+//! but it can be built from any adjacency — the tests construct banded
+//! patterns without building a dataset.
 
-use rayon::prelude::*;
 use trajshare_core::RegionGraph;
 
 /// An `n×n` sparsity pattern in compressed-sparse-row form: row `i`'s
@@ -152,8 +150,7 @@ impl CsrPattern {
 
 /// Writes `Aᵀ` into `out` (row-major `n×n`). The estimators transpose
 /// the channel once per solve so every later kernel reads contiguous
-/// rows instead of strided columns. Serial: an `O(n²)` copy is not worth
-/// a thread.
+/// rows instead of strided columns.
 pub(crate) fn transpose(a: &[f64], n: usize, out: &mut [f64]) {
     assert_eq!(a.len(), n * n);
     assert_eq!(out.len(), n * n);
@@ -170,9 +167,6 @@ pub(crate) fn transpose(a: &[f64], n: usize, out: &mut [f64]) {
 /// tile spills sums to the stack).
 const TILE_ROWS: usize = 2;
 const TILE_COLS: usize = 8;
-/// Output rows per [`par_matmul`] work item (a multiple of
-/// `TILE_ROWS`, so the row split adds no remainder).
-const BLOCK_ROWS: usize = 8 * TILE_ROWS;
 
 /// `out = A·B` (row-major `n×n`), serial: the `Dense` backend's one
 /// product kernel.
@@ -192,28 +186,12 @@ const BLOCK_ROWS: usize = 8 * TILE_ROWS;
 /// that is `+0.0` or positive, which leaves every bit as it was; so the
 /// kernel does not branch on zeros.
 pub(crate) fn matmul(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
-    matmul_rows(a, b, n, 0, out);
-}
-
-/// [`matmul`] with `out`'s rows split into blocks across the rayon pool
-/// (the `Blocked` backend): the same kernel per block, so the result is
-/// bit-identical — threads partition rows, they never split a sum.
-pub(crate) fn par_matmul(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
-    assert_eq!(out.len(), n * n);
-    out.par_chunks_mut(BLOCK_ROWS * n)
-        .enumerate()
-        .for_each(|(blk, rows)| matmul_rows(a, b, n, blk * BLOCK_ROWS, rows));
-}
-
-/// The kernel behind [`matmul`]: writes rows `first..first + out.len() / n`
-/// of `A·B` into `out`.
-fn matmul_rows(a: &[f64], b: &[f64], n: usize, first: usize, out: &mut [f64]) {
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
-    assert!(out.len().is_multiple_of(n) && first * n + out.len() <= n * n);
+    assert_eq!(out.len(), n * n);
     let full_cols = n - n % TILE_COLS;
     for (t, tile_rows) in out.chunks_mut(TILE_ROWS * n).enumerate() {
-        let i0 = first + t * TILE_ROWS;
+        let i0 = t * TILE_ROWS;
         let rows = tile_rows.len() / n;
         if rows == TILE_ROWS {
             let arows: [&[f64]; TILE_ROWS] = std::array::from_fn(|r| &a[(i0 + r) * n..][..n]);
@@ -249,38 +227,60 @@ fn matmul_rows(a: &[f64], b: &[f64], n: usize, first: usize, out: &mut [f64]) {
     }
 }
 
+/// Output rows one [`spmm`] step updates together.
+const SPMM_ROWS: usize = 4;
+
 /// `out = M·G` where `G` is `pattern` carrying `vals` — dense `n×n`
-/// output, `O(nnz·n)` work, parallel over output rows. Accumulation per
-/// element runs over `x` in ascending order, matching what a dense
-/// matmul against the scattered `G` would do.
+/// output, `O(nnz·n)` work. Every element starts from `+0.0` and adds
+/// `M[y][x]·G[x][j]` for `x` ascending, matching what a dense matmul
+/// against the scattered `G` would do. Rows run `SPMM_ROWS` at a time,
+/// so each pattern entry is loaded once per block, not once per row.
+/// Like [`matmul`], it does not skip a zero `M[y][x]`: on the solver's
+/// finite, non-negative operands adding `+0.0` leaves every bit as it was.
 pub(crate) fn spmm(m: &[f64], pattern: &CsrPattern, vals: &[f64], out: &mut [f64]) {
     let n = pattern.len();
     assert_eq!(m.len(), n * n);
     assert_eq!(vals.len(), pattern.nnz());
     assert_eq!(out.len(), n * n);
-    out.par_chunks_mut(n).enumerate().for_each(|(y, row)| {
-        row.fill(0.0);
-        let mrow = &m[y * n..(y + 1) * n];
-        for (x, &c) in mrow.iter().enumerate() {
-            if c == 0.0 {
-                continue;
-            }
-            for k in pattern.range(x) {
-                row[pattern.cols[k] as usize] += c * vals[k];
+    out.fill(0.0);
+    let full = (n - n % SPMM_ROWS) * n;
+    let (rows, rest_rows) = out.split_at_mut(full);
+    let (mrows, rest_mrows) = m.split_at(full);
+    let block = SPMM_ROWS * n;
+    for (o, a) in rows.chunks_exact_mut(block).zip(mrows.chunks_exact(block)) {
+        axpys::<SPMM_ROWS>(a, pattern, vals, o);
+    }
+    for (o, a) in rest_rows
+        .chunks_exact_mut(n)
+        .zip(rest_mrows.chunks_exact(n))
+    {
+        axpys::<1>(a, pattern, vals, o);
+    }
+}
+
+/// `R` rows of [`spmm`]: `out[r][j] += a[r][x]·G[x][j]` over `x`
+/// ascending and `G`'s row-`x` entries, for all `R` rows per entry.
+fn axpys<const R: usize>(a: &[f64], pattern: &CsrPattern, vals: &[f64], out: &mut [f64]) {
+    let n = pattern.len();
+    for x in 0..n {
+        let c: [f64; R] = std::array::from_fn(|r| a[r * n + x]);
+        let range = pattern.range(x);
+        for (&j, &v) in pattern.cols[range.clone()].iter().zip(&vals[range]) {
+            for r in 0..R {
+                out[r * n + j as usize] += c[r] * v;
             }
         }
-    });
+    }
 }
 
 /// `out[i][j] = Σ_{j′ ∈ pattern.row(j)} a[i][j′]` — `A·Pᵀ` for the 0/1
-/// pattern matrix, `O(nnz·n)`, parallel over output rows. The building
-/// block of the `W₂` normalizer.
+/// pattern matrix, `O(nnz·n)`. The building block of the `W₂`
+/// normalizer.
 pub(crate) fn gather_nt(a: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
     let n = pattern.len();
     assert_eq!(a.len(), n * n);
     assert_eq!(out.len(), n * n);
-    out.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
-        let arow = &a[i * n..(i + 1) * n];
+    for (row, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(n)) {
         for (j, o) in row.iter_mut().enumerate() {
             let mut s = 0.0;
             for k in pattern.range(j) {
@@ -288,37 +288,54 @@ pub(crate) fn gather_nt(a: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
             }
             *o = s;
         }
-    });
+    }
 }
+
+/// Pattern cells of one row that [`restricted_nt`] evaluates together.
+const NT_CELLS: usize = 4;
 
 /// The pattern-restricted `A·Bᵀ`: for every pattern cell `(i, j)`,
 /// `out[k] = dot(a_row_i, b_row_j)`. This is the `O(|W₂|·|R|)` kernel —
-/// it never evaluates a cell outside the pattern. Parallel over pattern
-/// rows (each row's value range is a disjoint slice of `out`).
+/// it never evaluates a cell outside the pattern. A row's cells run
+/// `NT_CELLS` at a time (see [`dots`]); the rest one by one.
 pub(crate) fn restricted_nt(a: &[f64], b: &[f64], pattern: &CsrPattern, out: &mut [f64]) {
     let n = pattern.len();
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
     assert_eq!(out.len(), pattern.nnz());
-    let mut rows: Vec<(usize, &mut [f64])> = Vec::with_capacity(n);
-    let mut rest = out;
-    for i in 0..n {
-        let (head, tail) = rest.split_at_mut(pattern.range(i).len());
-        rows.push((i, head));
-        rest = tail;
-    }
-    rows.par_iter_mut().for_each(|(i, row_vals)| {
-        let i = *i;
-        let arow = &a[i * n..(i + 1) * n];
-        for (slot, &j) in row_vals.iter_mut().zip(pattern.row(i)) {
-            let brow = &b[j as usize * n..(j as usize + 1) * n];
-            let mut s = 0.0;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                s += av * bv;
-            }
-            *slot = s;
+    for (i, arow) in a.chunks_exact(n).enumerate() {
+        let (heads, slots) = (pattern.row(i), &mut out[pattern.range(i)]);
+        let full = heads.len() - heads.len() % NT_CELLS;
+        let (heads, rest_heads) = heads.split_at(full);
+        let (slots, rest_slots) = slots.split_at_mut(full);
+        for (h, s) in heads
+            .chunks_exact(NT_CELLS)
+            .zip(slots.chunks_exact_mut(NT_CELLS))
+        {
+            dots::<NT_CELLS>(arow, b, h, s);
         }
-    });
+        for (h, s) in rest_heads
+            .chunks_exact(1)
+            .zip(rest_slots.chunks_exact_mut(1))
+        {
+            dots::<1>(arow, b, h, s);
+        }
+    }
+}
+
+/// `slots[c] = dot(arow, b_row(heads[c]))` for `C` cells: `C`
+/// independent sums, each from `+0.0` over `k` ascending — the plain dot
+/// product's exact IEEE sequence, but no add waits on another cell's.
+fn dots<const C: usize>(arow: &[f64], b: &[f64], heads: &[u32], slots: &mut [f64]) {
+    let n = arow.len();
+    let brows: [&[f64]; C] = std::array::from_fn(|c| &b[heads[c] as usize * n..][..n]);
+    let mut acc = [0.0f64; C];
+    for (k, &av) in arow.iter().enumerate() {
+        for c in 0..C {
+            acc[c] += av * brows[c][k];
+        }
+    }
+    slots.copy_from_slice(&acc);
 }
 
 /// The feasibility normalizers of the `W₂`-restricted product channel:
@@ -377,7 +394,7 @@ mod tests {
         out
     }
 
-    /// A banded pattern with wraparound (what the benches use too).
+    /// A banded pattern with wraparound.
     fn band_pattern(n: usize, width: u32) -> CsrPattern {
         let rows: Vec<Vec<u32>> = (0..n as u32)
             .map(|i| (0..=width).map(|d| (i + d) % n as u32).collect())
@@ -394,9 +411,6 @@ mod tests {
             let mut out = vec![1.0; n * n];
             matmul(&a, &b, n, &mut out);
             assert_eq!(out, naive_matmul(&a, &b, n), "matmul n={n}");
-            out.fill(1.0);
-            par_matmul(&a, &b, n, &mut out);
-            assert_eq!(out, naive_matmul(&a, &b, n), "par_matmul n={n}");
         }
     }
 
@@ -406,10 +420,9 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(19))]
-        /// The tiled kernel, serial and row-parallel, equals the naive
-        /// skip-zero triple loop bit for bit at every size through 19
-        /// (every tile and block remainder), on non-negative operands
-        /// with exact zeros.
+        /// The tiled kernel equals the naive skip-zero triple loop bit for
+        /// bit at every size through 19 (every tile remainder), on
+        /// non-negative operands with exact zeros.
         #[test]
         fn tiled_matmul_is_bit_identical_to_the_naive_loop(
             n in 1usize..=19,
@@ -426,10 +439,7 @@ mod tests {
             let want = bits(&naive_matmul(&a, &b, n));
             let mut out = vec![f64::NAN; n * n];
             matmul(&a, &b, n, &mut out);
-            prop_assert_eq!(bits(&out), want.clone(), "matmul n={}", n);
-            out.fill(f64::NAN);
-            par_matmul(&a, &b, n, &mut out);
-            prop_assert_eq!(bits(&out), want, "par_matmul n={}", n);
+            prop_assert_eq!(bits(&out), want, "matmul n={}", n);
         }
     }
 
@@ -499,15 +509,18 @@ mod tests {
     fn restricted_nt_matches_dense_at_pattern_cells() {
         let mut rng = StdRng::seed_from_u64(8);
         let n = 17;
-        let p = band_pattern(n, 3);
         let a = random_matrix(n, &mut rng);
         let b = random_matrix(n, &mut rng);
-        let mut vals = vec![0.0; p.nnz()];
-        restricted_nt(&a, &b, &p, &mut vals);
         let dense = naive_nt(&a, &b, n);
-        for i in 0..n {
-            for (k, &j) in p.range(i).zip(p.row(i)) {
-                assert_eq!(vals[k], dense[i * n + j as usize], "cell ({i},{j})");
+        // 4 and 6 cells a row: whole `NT_CELLS` groups, and a remainder.
+        for width in [3, 5] {
+            let p = band_pattern(n, width);
+            let mut vals = vec![0.0; p.nnz()];
+            restricted_nt(&a, &b, &p, &mut vals);
+            for i in 0..n {
+                for (k, &j) in p.range(i).zip(p.row(i)) {
+                    assert_eq!(vals[k], dense[i * n + j as usize], "cell ({i},{j})");
+                }
             }
         }
     }

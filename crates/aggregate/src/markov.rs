@@ -23,10 +23,10 @@ pub enum FrequencyEstimator {
         /// trades estimate sharpness against model-fit time; what one
         /// iteration *costs* is the backend's business.
         iters: usize,
-        /// Which kernel implementation runs the iterations: the serial
-        /// `Dense` kernel, the same kernel row-parallel (`Blocked`), or the
-        /// `W₂`-aware `SparseW2` model (`O(|W₂|·|R|)` per joint
-        /// iteration, exact zeros on infeasible bigrams).
+        /// Which model runs the iterations, both serial: the `Dense`
+        /// product channel, or the `W₂`-aware `SparseW2` model
+        /// (`O(|W₂|·|R|)` per joint iteration, exact zeros on infeasible
+        /// bigrams).
         backend: EstimatorBackend,
     },
 }
@@ -47,7 +47,7 @@ impl Default for FrequencyEstimator {
         // region universes in the low hundreds; 4·|R|³·iters multiply-adds
         // for the joint estimate (~2 s at |R| = 144 on one Xeon core). The
         // dense backend stays the default so historical results are
-        // bit-stable; large universes should flip to `Blocked` or
+        // bit-stable; universes with `|W₂| ≪ |R|²` should flip to
         // `SparseW2`.
         FrequencyEstimator::ibu(EstimatorBackend::Dense)
     }

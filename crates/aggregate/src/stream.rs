@@ -1049,7 +1049,7 @@ mod tests {
         let mut dense_est = StreamingEstimator::with_backend(200, 8, EstimatorBackend::Dense);
         let _ = dense_est.tick(&w1, &graph);
         let dense2 = dense_est.tick(&w2, &graph);
-        for backend in [EstimatorBackend::Blocked, EstimatorBackend::SparseW2] {
+        for backend in EstimatorBackend::ALL {
             let mut est = StreamingEstimator::with_backend(200, 8, backend);
             assert_eq!(est.backend(), backend);
             let _ = est.tick(&w1, &graph);

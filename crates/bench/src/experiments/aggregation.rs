@@ -62,13 +62,8 @@ pub fn run(params: &ExpParams) -> Reported {
             bytes,
         ));
 
-        // Always compare the dense reference against the W₂-aware model,
-        // plus whatever `--backend` asked for (e.g. `blocked`).
-        let mut backends = vec![EstimatorBackend::Dense, EstimatorBackend::SparseW2];
-        if !backends.contains(&params.backend) {
-            backends.insert(1, params.backend);
-        }
-        for backend in backends {
+        // Always compare the dense reference against the W₂-aware model.
+        for backend in EstimatorBackend::ALL {
             let t0 = Instant::now();
             let outcome = aggregate_and_synthesize_matching_with(
                 &dataset,

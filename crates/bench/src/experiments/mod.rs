@@ -28,8 +28,9 @@ pub struct ExpParams {
     pub workers: usize,
     /// Seed.
     pub seed: u64,
-    /// Estimation kernel backend for the aggregation/streaming
-    /// experiments (`--backend dense|blocked|sparse-w2`).
+    /// Estimation backend for the streaming experiment
+    /// (`--backend dense|sparse-w2`; the aggregation experiment runs
+    /// both).
     pub backend: EstimatorBackend,
     /// Per-window budget allocation policy for the streaming experiment
     /// (`--policy uniform|adaptive`).
@@ -54,25 +55,45 @@ impl Default for ExpParams {
 
 impl ExpParams {
     /// Builds params from CLI args (`--pois`, `--trajectories`,
-    /// `--epsilon`, `--workers`, `--seed`, `--backend`).
+    /// `--epsilon`, `--workers`, `--seed`, `--backend`, `--policy`); an
+    /// unknown `--backend` or `--policy` ends the process with a message
+    /// naming the accepted values.
     pub fn from_args(args: &crate::Args) -> Self {
+        Self::try_from_args(args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`ExpParams::from_args`], returning the refusal instead of exiting.
+    pub fn try_from_args(args: &crate::Args) -> Result<Self, String> {
         let d = Self::default();
-        Self {
+        let backends = EstimatorBackend::ALL.map(EstimatorBackend::name).join("|");
+        Ok(Self {
             num_pois: args.get_or("pois", d.num_pois),
             num_trajectories: args.get_or("trajectories", d.num_trajectories),
             epsilon: args.get_or("epsilon", d.epsilon),
             workers: args.get_or("workers", d.workers),
             seed: args.get_or("seed", d.seed),
-            backend: args
-                .get("backend")
-                .and_then(EstimatorBackend::parse)
+            backend: choice(args, "backend", EstimatorBackend::parse, &backends)?
                 .unwrap_or(d.backend),
-            policy: args
-                .get("policy")
-                .and_then(AllocationPolicy::parse)
+            policy: choice(args, "policy", AllocationPolicy::parse, "uniform|adaptive")?
                 .unwrap_or(d.policy),
-        }
+        })
     }
+}
+
+/// `--key`'s value through `parse`, `None` when the key is absent; a
+/// value `parse` does not know is refused, naming the `accepted` ones.
+fn choice<T>(
+    args: &crate::Args,
+    key: &str,
+    parse: fn(&str) -> Option<T>,
+    accepted: &str,
+) -> Result<Option<T>, String> {
+    args.get(key)
+        .map(|v| parse(v).ok_or_else(|| format!("unknown --{key} `{v}` (accepted: {accepted})")))
+        .transpose()
 }
 
 /// Prints and persists a batch of reports.
@@ -83,5 +104,29 @@ pub fn emit(reports: &[Reported]) {
         if let Err(e) = crate::report::write_json(r, &dir) {
             eprintln!("warning: could not write results JSON: {e}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn params(argv: &[&str]) -> Result<ExpParams, String> {
+        ExpParams::try_from_args(&crate::Args::parse(argv.iter().map(|a| a.to_string())))
+    }
+
+    #[test]
+    fn unknown_backend_or_policy_is_refused_not_defaulted() {
+        let p = params(&["--backend", "sparse-w2", "--policy", "adaptive"]).unwrap();
+        assert_eq!(p.backend, EstimatorBackend::SparseW2);
+        assert_eq!(p.policy.name(), "adaptive");
+        assert_eq!(params(&[]).unwrap().backend, EstimatorBackend::Dense);
+        let e = params(&["--backend", "blocked"]).unwrap_err();
+        assert!(
+            e.contains("`blocked`") && e.contains("dense|sparse-w2"),
+            "{e}"
+        );
+        let e = params(&["--policy", "greedy"]).unwrap_err();
+        assert!(e.contains("uniform|adaptive"), "{e}");
     }
 }

@@ -7,7 +7,7 @@
 //!         [--window-len U --windows W] [--pull-every-ms MS]
 //!         [--budget-eps E --budget-window W] [--budget-policy uniform|adaptive]
 //!         [--grants] [--ledger PATH]
-//!         [--backend dense|blocked|sparse-w2]
+//!         [--backend dense|sparse-w2]
 //!         [--queue-depth N] [--batch-max N] [--vnodes V]
 //!         [--read-timeout-ms MS] [--connect-attempts N]
 //! ```
@@ -50,7 +50,7 @@ fn usage() -> ! {
          [--window-len U --windows W] [--pull-every-ms MS] \
          [--budget-eps E --budget-window W] [--budget-policy uniform|adaptive] \
          [--grants] [--ledger PATH] \
-         [--backend dense|blocked|sparse-w2] [--queue-depth N] [--batch-max N] \
+         [--backend dense|sparse-w2] [--queue-depth N] [--batch-max N] \
          [--vnodes V] [--read-timeout-ms MS] [--connect-attempts N]"
     );
     std::process::exit(2)

@@ -218,135 +218,8 @@ impl<'a, T: Sync, F> ParIterMap<'a, T, F> {
     }
 }
 
-/// Runs `body(i, &mut items[i])` for every element across worker
-/// threads. `items` is consumed as pre-split exclusive borrows, so the
-/// closure only needs `Sync`.
-fn parallel_for_each_mut<T, F>(items: Vec<&mut T>, body: F)
-where
-    T: ?Sized + Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let w = workers_for(n);
-    if w <= 1 {
-        for (i, item) in items.into_iter().enumerate() {
-            body(i, item);
-        }
-        return;
-    }
-    let segs = segments(n, w);
-    let body = &body;
-    let mut items = items;
-    std::thread::scope(|scope| {
-        // Peel workers off the back so indices stay aligned with `segs`.
-        for &(a, _) in segs.iter().rev() {
-            let tail: Vec<&mut T> = items.drain(a..).collect();
-            scope.spawn(move || {
-                for (off, item) in tail.into_iter().enumerate() {
-                    body(a + off, item);
-                }
-            });
-        }
-    });
-}
-
-/// Mutable extension methods on slices (the subset of rayon's
-/// `ParallelSliceMut` this workspace uses).
-pub trait ParallelSliceMut<T: Send> {
-    /// Parallel iterator over `size`-element mutable chunks (last may be
-    /// shorter).
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
-
-    /// Parallel iterator over mutable elements.
-    fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
-}
-
-impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ParChunksMut { data: self, size }
-    }
-
-    fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
-        ParIterMut { data: self }
-    }
-}
-
-pub struct ParChunksMut<'a, T> {
-    data: &'a mut [T],
-    size: usize,
-}
-
-impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Matches rayon's `IndexedParallelIterator::enumerate`.
-    pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
-        EnumerateChunksMut {
-            data: self.data,
-            size: self.size,
-        }
-    }
-
-    /// Runs `body` on every chunk across worker threads.
-    pub fn for_each<F>(self, body: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.enumerate().for_each(|(_, chunk)| body(chunk));
-    }
-}
-
-pub struct EnumerateChunksMut<'a, T> {
-    data: &'a mut [T],
-    size: usize,
-}
-
-impl<T: Send> EnumerateChunksMut<'_, T> {
-    /// Runs `body((chunk_index, chunk))` on every chunk across workers.
-    pub fn for_each<F>(self, body: F)
-    where
-        F: Fn((usize, &mut [T])) + Sync,
-    {
-        let chunks: Vec<&mut [T]> = self.data.chunks_mut(self.size).collect();
-        parallel_for_each_mut(chunks, |i, chunk| body((i, chunk)));
-    }
-}
-
-pub struct ParIterMut<'a, T> {
-    data: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Matches rayon's `IndexedParallelIterator::enumerate`.
-    pub fn enumerate(self) -> EnumerateIterMut<'a, T> {
-        EnumerateIterMut { data: self.data }
-    }
-
-    /// Runs `body` on every element across worker threads.
-    pub fn for_each<F>(self, body: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        self.enumerate().for_each(|(_, item)| body(item));
-    }
-}
-
-pub struct EnumerateIterMut<'a, T> {
-    data: &'a mut [T],
-}
-
-impl<T: Send> EnumerateIterMut<'_, T> {
-    /// Runs `body((index, &mut element))` on every element across workers.
-    pub fn for_each<F>(self, body: F)
-    where
-        F: Fn((usize, &mut T)) + Sync,
-    {
-        let items: Vec<&mut T> = self.data.iter_mut().collect();
-        parallel_for_each_mut(items, |i, item| body((i, item)));
-    }
-}
-
 pub mod prelude {
-    pub use crate::{ParallelSlice, ParallelSliceMut};
+    pub use crate::ParallelSlice;
 }
 
 #[cfg(test)]
@@ -398,41 +271,6 @@ mod tests {
             );
         assert_eq!(hist.iter().sum::<u64>(), 1000);
         assert_eq!(hist[0], 143);
-    }
-
-    #[test]
-    fn par_chunks_mut_enumerate_writes_every_chunk() {
-        let mut data = vec![0u64; 10_000];
-        data.par_chunks_mut(97).enumerate().for_each(|(i, chunk)| {
-            for (j, v) in chunk.iter_mut().enumerate() {
-                *v = (i * 97 + j) as u64;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u64);
-        }
-        // Plain for_each, and the ragged last chunk.
-        let mut ragged = vec![1u64; 101];
-        ragged.par_chunks_mut(10).for_each(|chunk| {
-            for v in chunk.iter_mut() {
-                *v *= 3;
-            }
-        });
-        assert!(ragged.iter().all(|&v| v == 3));
-    }
-
-    #[test]
-    fn par_iter_mut_enumerate_indices_align() {
-        let mut data = vec![0u32; 4999];
-        data.par_iter_mut()
-            .enumerate()
-            .for_each(|(i, v)| *v = i as u32 * 2);
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, 2 * i as u32);
-        }
-        let mut empty: Vec<u32> = Vec::new();
-        empty.par_iter_mut().for_each(|v| *v = 1);
-        assert!(empty.is_empty());
     }
 
     #[test]

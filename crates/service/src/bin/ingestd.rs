@@ -9,7 +9,7 @@
 //!         [--wal-max-bytes B]                         # online compaction
 //!         [--window-len U --windows W]                # streaming windows
 //!         [--publish-every-ms MS] [--server-clock]
-//!         [--max-conn-advance N] [--backend dense|blocked|sparse-w2]
+//!         [--max-conn-advance N] [--backend dense|sparse-w2]
 //!         [--budget-eps E] [--budget-window W]        # w-window ε budget
 //!         [--budget-policy uniform|adaptive]
 //!         [--grants]                                  # TSGB grant session
@@ -82,7 +82,7 @@ fn usage() -> ! {
          [--workers W] [--snapshot-every K] [--wal-flush-every F] [--read-timeout-ms MS] \
          [--fsync-records N] [--fsync-ms MS] [--wal-max-bytes B] \
          [--window-len U --windows W] [--publish-every-ms MS] [--server-clock] \
-         [--max-conn-advance N] [--backend dense|blocked|sparse-w2] \
+         [--max-conn-advance N] [--backend dense|sparse-w2] \
          [--budget-eps E] [--budget-window W] [--budget-policy uniform|adaptive] \
          [--grants] [--export-addr HOST:PORT] [--profile] [--dump-counts]"
     );

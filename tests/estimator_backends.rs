@@ -131,22 +131,20 @@ fn all_backends_drive_the_full_pipeline_to_valid_synthesis() {
     // agree tightly on them even though the joints differ by design.
     let l1 = |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum() };
     assert!(
-        l1(&occupancies[0], &occupancies[1]) < 1e-9,
-        "dense vs blocked"
-    );
-    assert!(
-        l1(&occupancies[0], &occupancies[2]) < 1e-6,
+        l1(&occupancies[0], &occupancies[1]) < 1e-6,
         "dense vs sparse"
     );
 }
 
 #[test]
 fn backend_choice_flips_estimation_cost_not_correctness() {
-    // A coarse end-to-end sanity on the speed claim at a modest |R|:
-    // the sparse model must never be *slower* than dense on the same
-    // counters once the universe is non-trivial. (The quantitative
-    // claim is the benchmark's `aggregate.estimate.iter_us.*` lines and
-    // the frozen `results/bench_estimate_backends.json` sweep.)
+    // A coarse end-to-end sanity bound at a modest |R|: on the same
+    // counters the sparse model must never be pathologically slower than
+    // dense. Both run serially; at this universe's density (|W₂| ≈
+    // 0.57·|R|²) neither is much faster. The per-iteration costs by
+    // |R| and `W₂` density are measured in README's backend table; the
+    // benchmark's `aggregate.estimate.iter_us.*` lines time each backend
+    // at its own |R|.
     let (dataset, real) = world();
     let mech = NGramMechanism::build(&dataset, &MechanismConfig::default().with_epsilon(4.0));
     let reports = collect_reports(&mech, &real, 31);
@@ -193,27 +191,26 @@ fn model_bits_hash(m: &MobilityModel) -> u64 {
 }
 
 #[test]
-fn dense_and_blocked_estimates_are_pinned_bit_for_bit() {
-    // Golden hashes of the `Dense` and `Blocked` estimates and of the raw
-    // `SparseW2` joint on a real universe (|R| = 77). A kernel rewrite
-    // that reorders one floating add changes them; the constants are
-    // never re-recorded to follow a kernel change.
+fn dense_and_sparse_estimates_are_pinned_bit_for_bit() {
+    // Golden hashes of the `Dense` estimates and of the raw `SparseW2`
+    // joint on a real universe (|R| = 77). A kernel rewrite that reorders
+    // one floating add changes them; the constants are never re-recorded
+    // to follow a kernel change.
     let (dataset, real) = world();
     let mech = NGramMechanism::build(&dataset, &MechanismConfig::default().with_epsilon(4.0));
     let graph = mech.graph();
     assert_eq!(graph.num_regions(), 77);
     let mut agg = Aggregator::new(mech.regions());
     agg.ingest_batch(&collect_reports(&mech, &real, 37));
-    let fit = |backend| {
-        let estimator = FrequencyEstimator::Ibu { iters: 30, backend };
-        model_bits_hash(&MobilityModel::estimate_with(
-            agg.counts(),
-            graph,
-            estimator,
-        ))
+    let estimator = FrequencyEstimator::Ibu {
+        iters: 30,
+        backend: EstimatorBackend::Dense,
     };
-    let dense = fit(EstimatorBackend::Dense);
-    let blocked = fit(EstimatorBackend::Blocked);
+    let dense = model_bits_hash(&MobilityModel::estimate_with(
+        agg.counts(),
+        graph,
+        estimator,
+    ));
 
     // The raw `SparseW2` joint, cold and then warm-started from the
     // cold posterior on the grown counts.
@@ -235,7 +232,6 @@ fn dense_and_blocked_estimates_are_pinned_bit_for_bit() {
 
     let got = [
         dense,
-        blocked,
         cold,
         warm,
         bits_hash(&[&sparse_cold]),
@@ -243,7 +239,6 @@ fn dense_and_blocked_estimates_are_pinned_bit_for_bit() {
     ];
     let want = [
         0x60d2_52fe_9ae9_90d8,
-        0x1ff6_e73d_bd68_bab5,
         0x60d2_52fe_9ae9_90d8,
         0x81a8_2453_9543_5292,
         0x762b_6ce2_1c11_19d8,
@@ -251,7 +246,7 @@ fn dense_and_blocked_estimates_are_pinned_bit_for_bit() {
     ];
     assert_eq!(
         got, want,
-        "estimates moved: [dense, blocked, stream cold, stream warm, \
+        "estimates moved: [dense, stream cold, stream warm, \
          sparse-w2 joint cold, sparse-w2 joint warm] = {got:#018x?}"
     );
 }
