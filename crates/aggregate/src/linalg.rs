@@ -186,12 +186,18 @@ const TILE_COLS: usize = 8;
 /// that is `+0.0` or positive, which leaves every bit as it was; so the
 /// kernel does not branch on zeros.
 pub(crate) fn matmul(a: &[f64], b: &[f64], n: usize, out: &mut [f64]) {
+    matmul_rows(a, b, n, 0, out);
+}
+
+/// The kernel behind [`matmul`]: writes rows `first..first + out.len() / n`
+/// of `A·B` into `out`.
+fn matmul_rows(a: &[f64], b: &[f64], n: usize, first: usize, out: &mut [f64]) {
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
-    assert_eq!(out.len(), n * n);
+    assert!(out.len().is_multiple_of(n) && first * n + out.len() <= n * n);
     let full_cols = n - n % TILE_COLS;
     for (t, tile_rows) in out.chunks_mut(TILE_ROWS * n).enumerate() {
-        let i0 = t * TILE_ROWS;
+        let i0 = first + t * TILE_ROWS;
         let rows = tile_rows.len() / n;
         if rows == TILE_ROWS {
             let arows: [&[f64]; TILE_ROWS] = std::array::from_fn(|r| &a[(i0 + r) * n..][..n]);
