@@ -46,7 +46,7 @@
 //! survives kill/restart. A node also mirrors settled spends onto its
 //! window ring ([`crate::stream::WindowedAggregator::record_spend`]).
 
-use crate::estimate::{EmChannel, EstimatorBackend, IbuSolver};
+use crate::estimate::{EmChannel, IbuSolver};
 use crate::ingest::AggregateCounts;
 use std::collections::VecDeque;
 use trajshare_core::blob::{open, BlobError, Sealer};
@@ -169,12 +169,7 @@ pub fn window_divergence(
             return None;
         }
         let channel = EmChannel::unigram(graph, mean_eps);
-        Some(IbuSolver::new(EstimatorBackend::Dense).frequencies(
-            &channel,
-            &counts.occupancy,
-            SIGNAL_ITERS,
-            None,
-        ))
+        Some(IbuSolver::default().frequencies(&channel, &counts.occupancy, SIGNAL_ITERS, None))
     };
     if let Some(graph) = graph {
         if let (Some(p), Some(c)) = (debias(graph, prev), debias(graph, cur)) {

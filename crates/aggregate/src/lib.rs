@@ -21,10 +21,10 @@
 //!    ([`Aggregator`]),
 //! 3. [`estimate`] — unbiased frequency estimation by inverting the
 //!    Exponential-Mechanism channel ([`EmChannel`]), IBU maximum
-//!    likelihood on pluggable kernel backends ([`EstimatorBackend`]:
-//!    serial tiled dense kernel, the same kernel row-parallel, or the `W₂`-aware
-//!    sparse model over [`linalg`]'s CSR kernels), plus [`norm_sub`]
-//!    consistency post-processing,
+//!    likelihood on two serial backends ([`EstimatorBackend`]: the
+//!    tiled dense kernel, or the `W₂`-aware sparse model over
+//!    [`linalg`]'s CSR kernels), plus [`norm_sub`] consistency
+//!    post-processing,
 //! 4. [`markov`] — the debiased [`MobilityModel`] (start/end/occupancy
 //!    distributions, `W₂`-restricted transition matrix, length model),
 //! 5. [`synthesize`] — Markov walks over the feasible bigram universe,

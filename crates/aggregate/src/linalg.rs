@@ -249,17 +249,13 @@ pub(crate) fn spmm(m: &[f64], pattern: &CsrPattern, vals: &[f64], out: &mut [f64
     assert_eq!(vals.len(), pattern.nnz());
     assert_eq!(out.len(), n * n);
     out.fill(0.0);
-    let full = (n - n % SPMM_ROWS) * n;
-    let (rows, rest_rows) = out.split_at_mut(full);
-    let (mrows, rest_mrows) = m.split_at(full);
-    let block = SPMM_ROWS * n;
-    for (o, a) in rows.chunks_exact_mut(block).zip(mrows.chunks_exact(block)) {
+    let mut rows = out.chunks_exact_mut(SPMM_ROWS * n);
+    let mut mrows = m.chunks_exact(SPMM_ROWS * n);
+    for (o, a) in (&mut rows).zip(&mut mrows) {
         axpys::<SPMM_ROWS>(a, pattern, vals, o);
     }
-    for (o, a) in rest_rows
-        .chunks_exact_mut(n)
-        .zip(rest_mrows.chunks_exact(n))
-    {
+    let rest = rows.into_remainder().chunks_exact_mut(n);
+    for (o, a) in rest.zip(mrows.remainder().chunks_exact(n)) {
         axpys::<1>(a, pattern, vals, o);
     }
 }
@@ -310,20 +306,13 @@ pub(crate) fn restricted_nt(a: &[f64], b: &[f64], pattern: &CsrPattern, out: &mu
     assert_eq!(b.len(), n * n);
     assert_eq!(out.len(), pattern.nnz());
     for (i, arow) in a.chunks_exact(n).enumerate() {
-        let (heads, slots) = (pattern.row(i), &mut out[pattern.range(i)]);
-        let full = heads.len() - heads.len() % NT_CELLS;
-        let (heads, rest_heads) = heads.split_at(full);
-        let (slots, rest_slots) = slots.split_at_mut(full);
-        for (h, s) in heads
-            .chunks_exact(NT_CELLS)
-            .zip(slots.chunks_exact_mut(NT_CELLS))
-        {
+        let mut heads = pattern.row(i).chunks_exact(NT_CELLS);
+        let mut slots = out[pattern.range(i)].chunks_exact_mut(NT_CELLS);
+        for (h, s) in (&mut heads).zip(&mut slots) {
             dots::<NT_CELLS>(arow, b, h, s);
         }
-        for (h, s) in rest_heads
-            .chunks_exact(1)
-            .zip(rest_slots.chunks_exact_mut(1))
-        {
+        let rest = heads.remainder().chunks(1);
+        for (h, s) in rest.zip(slots.into_remainder().chunks_mut(1)) {
             dots::<1>(arow, b, h, s);
         }
     }

@@ -66,7 +66,7 @@ impl ExpParams {
     }
 
     /// [`ExpParams::from_args`], returning the refusal instead of exiting.
-    pub fn try_from_args(args: &crate::Args) -> Result<Self, String> {
+    fn try_from_args(args: &crate::Args) -> Result<Self, String> {
         let d = Self::default();
         let backends = EstimatorBackend::ALL.map(EstimatorBackend::name).join("|");
         Ok(Self {
